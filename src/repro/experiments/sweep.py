@@ -276,14 +276,30 @@ def _valid_cell_payload(payload) -> bool:
     Guards the read path beyond the checksum: a legacy (pre-checksum)
     entry has no digest to verify, and single-bit corruption of a wrapper
     can demote a checksummed document to an apparently-legacy one — the
-    shape check rejects both instead of poisoning results.
+    shape check rejects both instead of poisoning results. A result entry
+    must hold a numeric ``final_estimate`` vector and a rectangular numeric
+    ``estimates`` matrix of the same width, so the read path's array
+    conversion cannot fail.
     """
     if not isinstance(payload, dict):
         return False
     if "error" in payload:
         return isinstance(payload["error"], str)
-    return all(key in payload for key in ("final_error", "final_estimate",
-                                          "estimates"))
+    if not all(key in payload for key in ("final_error", "final_estimate",
+                                          "estimates")):
+        return False
+    try:
+        final = np.asarray(payload["final_estimate"])
+        estimates = np.asarray(payload["estimates"])
+    except (TypeError, ValueError):  # ragged rows
+        return False
+    return (
+        final.ndim == 1
+        and estimates.ndim == 2
+        and estimates.shape[1] == final.shape[0]
+        and final.dtype.kind in "fi"
+        and estimates.dtype.kind in "fi"
+    )
 
 
 def _load_cache_entry(path: str) -> Optional[Dict]:
@@ -314,9 +330,11 @@ def _run_regression_group(task: Dict) -> List[Dict]:
     Module-level (hence picklable) pool worker. Consults the cell cache
     first — discarding corrupt entries — batches all missing seeds through
     :func:`run_dgd_batch`, and writes fresh entries back atomically with
-    checksums. Returns one JSON-safe payload per seed, in the group's seed
-    order; each payload carries ``cache_state`` (``"hit"``, ``"miss"``, or
-    ``"corrupt"``) so the parent can log cache events.
+    checksums. Returns one payload per seed, in the group's seed order;
+    each payload carries ``cache_state`` (``"hit"``, ``"miss"``, or
+    ``"corrupt"``) so the parent can log cache events. Result payloads
+    carry ``final_estimate`` and ``estimates`` as float64 arrays, fresh or
+    cached alike: lists exist only inside the JSON cache entries.
     """
     from repro.attacks.registry import make_attack
     from repro.observability import Telemetry, TraceContext
@@ -346,6 +364,9 @@ def _run_regression_group(task: Dict) -> List[Dict]:
             if os.path.exists(path):
                 payload = _load_cache_entry(path)
                 if payload is not None:
+                    if "error" not in payload:
+                        for name in ("final_estimate", "estimates"):
+                            payload[name] = np.asarray(payload[name], dtype=float)
                     payload["cached"] = True
                     payload["cache_state"] = "hit"
                     payloads[index] = payload
@@ -423,8 +444,9 @@ def _run_regression_group(task: Dict) -> List[Dict]:
                 fresh.append(
                     {
                         "final_error": float(np.linalg.norm(final_estimate - x_H)),
-                        "final_estimate": final_estimate.tolist(),
-                        "estimates": trace.estimates.tolist(),
+                        # float32 runs upcast exactly, as through JSON.
+                        "final_estimate": np.asarray(final_estimate, dtype=float),
+                        "estimates": np.asarray(trace.estimates, dtype=float),
                         "cached": False,
                     }
                 )
@@ -448,9 +470,11 @@ def _run_regression_group(task: Dict) -> List[Dict]:
                         array_backend, dtype,
                     )
                 )
-                stored = dict(payload)
-                stored.pop("cached", None)
-                stored.pop("cache_state", None)
+                stored = {
+                    name: value.tolist() if isinstance(value, np.ndarray) else value
+                    for name, value in payload.items()
+                    if name not in ("cached", "cache_state")
+                }
                 write_json_atomic(os.path.join(cache_dir, f"{key}.json"), stored)
 
     return payloads  # type: ignore[return-value]
@@ -1384,8 +1408,8 @@ class SweepEngine:
                     )
                 else:
                     cell.final_error = float(payload["final_error"])
-                    cell.final_estimate = np.asarray(payload["final_estimate"])
-                    cell.estimates = np.asarray(payload["estimates"])
+                    cell.final_estimate = payload["final_estimate"]
+                    cell.estimates = payload["estimates"]
                 results.append(cell)
         self._write_manifest(grid, results)
         if self._trace is not None:

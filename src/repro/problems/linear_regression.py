@@ -24,6 +24,7 @@ redundancy margin.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -107,6 +108,18 @@ def design_rows(n: int, d: int) -> np.ndarray:
     return A / norms
 
 
+@lru_cache(maxsize=64)
+def _design_rank_verdict(n: int, d: int, f: int) -> bool:
+    """Does :func:`design_rows` ``(n, d)`` pass the rank witness for ``f``?
+
+    The design is deterministic, so the verdict is a pure function of
+    ``(n, d, f)`` and is computed once per process per shape.
+    """
+    from repro.core.redundancy import minimal_subset_rank_condition
+
+    return minimal_subset_rank_condition(design_rows(n, d), f)
+
+
 def make_redundant_regression(
     n: int,
     d: int,
@@ -129,9 +142,11 @@ def make_redundant_regression(
     noise_std:
         Observation-noise σ; ``0`` gives exact 2f-redundancy.
     verify_rank:
-        Double-check the rank property on every minimal submatrix (cheap
-        for small ``n``; disable for very large sweeps where the Vandermonde
-        guarantee is trusted).
+        Double-check the rank property on every minimal submatrix. The
+        verdict is memoized per ``(n, d, f)`` for the life of the process,
+        so repeated builds of one shape (a sweep's groups) pay for it once;
+        the check grows as ``C(n, n − 2f)``, so disabling it only matters
+        for a single build at large ``n``.
     """
     check_fault_bound(n, f)
     if n - 2 * f < d:
@@ -145,9 +160,7 @@ def make_redundant_regression(
     )
     A = design_rows(n, d)
     if verify_rank:
-        from repro.core.redundancy import minimal_subset_rank_condition
-
-        if not minimal_subset_rank_condition(A, f):
+        if not _design_rank_verdict(n, d, f):
             raise InvalidParameterError(
                 "generated matrix failed the rank check — should be impossible "
                 "for a Vandermonde construction"

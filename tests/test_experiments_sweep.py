@@ -17,7 +17,7 @@ from repro.experiments.sweep import (
     parallel_map,
     summarize_grid,
 )
-from repro.problems.linear_regression import make_redundant_regression
+from repro.problems.linear_regression import design_rows, make_redundant_regression
 from repro.system.runner import run_dgd
 
 
@@ -181,6 +181,137 @@ class TestSweepEngine:
         rows = {(row[1], row[2]): row for row in summary.rows}
         assert rows[("bulyan", "zero")][4] == "n/a"
         assert isinstance(rows[("cge", "zero")][4], float)
+
+
+def _direct_batch(grid, filter_name="cge", attack="gradient-reverse", f=1,
+                  dtype=None):
+    """One group's traces from run_dgd_batch, without engine or cache."""
+    from repro.attacks.registry import make_attack
+    from repro.system.batch import run_dgd_batch
+    from repro.system.runner import DGDConfig
+
+    instance = make_redundant_regression(
+        n=grid.n, d=grid.d, f=grid.resolved_redundancy_f(),
+        noise_std=grid.noise_std, seed=grid.instance_seed,
+    )
+    config = DGDConfig(iterations=grid.iterations, gradient_filter=filter_name,
+                       faulty_ids=tuple(range(f)), f=f, x0=grid.x0, seed=0)
+    return run_dgd_batch(instance.costs, make_attack(attack), config,
+                         seeds=grid.seeds(), dtype=dtype)
+
+
+class TestArrayPayloads:
+    """Cells carry float64 arrays; JSON lists live only in cache entries."""
+
+    GRID = RegressionGrid(filters=("cge",), attacks=("gradient-reverse",),
+                          num_seeds=3, iterations=20)
+
+    @staticmethod
+    def _assert_float64_equal(cells, traces):
+        assert len(cells) == len(traces)
+        for cell, trace in zip(cells, traces):
+            assert cell.estimates.dtype == np.float64
+            assert cell.final_estimate.dtype == np.float64
+            assert np.array_equal(cell.estimates, trace.estimates)
+            assert np.array_equal(cell.final_estimate, trace.final_estimate)
+
+    def test_cold_cached_and_direct_agree(self, tmp_path):
+        direct = _direct_batch(self.GRID)
+        cold = SweepEngine(parallel=False, cache_dir=str(tmp_path)
+                           ).run_regression_grid(self.GRID)
+        cached = SweepEngine(parallel=True, max_workers=2, cache_dir=str(tmp_path)
+                             ).run_regression_grid(self.GRID)
+        assert not any(c.cached for c in cold) and all(c.cached for c in cached)
+        self._assert_float64_equal(cold, direct)
+        self._assert_float64_equal(cached, direct)
+
+    def test_worker_payloads_are_float64_arrays(self, tmp_path):
+        payloads = []
+
+        def capture(worker):
+            def wrapped(task):
+                result = worker(task)
+                payloads.extend(result)
+                return result
+            return wrapped
+
+        for _ in range(2):  # cold, then all hits
+            SweepEngine(parallel=False, cache_dir=str(tmp_path),
+                        worker_wrapper=capture).run_regression_grid(self.GRID)
+        states = [p["cache_state"] for p in payloads]
+        assert states == ["miss"] * 3 + ["hit"] * 3
+        for payload in payloads:
+            for name in ("final_estimate", "estimates"):
+                assert isinstance(payload[name], np.ndarray)
+                assert payload[name].dtype == np.float64
+
+    def test_list_written_entry_reads_back_bit_identically(self, tmp_path):
+        # Entries written by the earlier list-payload engine: the payload
+        # dict, minus transport fields, with arrays as nested lists.
+        from repro.utils.atomicio import write_json_atomic
+
+        engine = SweepEngine(parallel=False, cache_dir=str(tmp_path))
+        direct = _direct_batch(self.GRID)
+        x_H = make_redundant_regression(
+            n=6, d=2, f=1, seed=self.GRID.instance_seed
+        ).honest_minimizer(range(1, 6))
+        for cell, trace in zip(engine._grid_cells(self.GRID), direct):
+            write_json_atomic(
+                os.path.join(str(tmp_path), f"{cell['key']}.json"),
+                {
+                    "final_error": float(np.linalg.norm(trace.final_estimate - x_H)),
+                    "final_estimate": trace.final_estimate.tolist(),
+                    "estimates": trace.estimates.tolist(),
+                },
+            )
+        cells = engine.run_regression_grid(self.GRID)
+        assert all(c.cached for c in cells)
+        self._assert_float64_equal(cells, direct)
+
+    def test_float32_cells_upcast_like_the_list_path(self, tmp_path):
+        traces = _direct_batch(self.GRID, dtype="float32")
+        # The list path: float32 -> Python floats -> float64 array.
+        expected = [np.asarray(t.estimates.tolist()) for t in traces]
+        for attempt in range(2):
+            cells = SweepEngine(
+                parallel=False, cache_dir=str(tmp_path), dtype="float32"
+            ).run_regression_grid(self.GRID)
+            assert all(c.cached for c in cells) == bool(attempt)
+            for cell, want in zip(cells, expected):
+                assert cell.estimates.dtype == np.float64
+                assert np.array_equal(cell.estimates, want)
+
+    def test_instances_do_not_share_design_arrays(self):
+        first = make_redundant_regression(n=8, d=2, f=2)
+        second = make_redundant_regression(n=8, d=2, f=2)
+        assert first.A is not second.A
+        first.A[:] = 0.0
+        assert np.array_equal(second.A, design_rows(8, 2))
+
+    def test_rank_check_runs_once_per_shape_per_process(self, monkeypatch):
+        import repro.core.redundancy as redundancy
+        from repro.problems.linear_regression import _design_rank_verdict
+
+        calls = []
+        real = redundancy.minimal_subset_rank_condition
+
+        def spy(matrix, f):
+            calls.append((np.shape(matrix), f))
+            return real(matrix, f)
+
+        monkeypatch.setattr(redundancy, "minimal_subset_rank_condition", spy)
+        _design_rank_verdict.cache_clear()
+        try:
+            for _ in range(3):
+                make_redundant_regression(n=7, d=2, f=2)
+                make_redundant_regression(n=7, d=2, f=1, noise_std=0.1, seed=4)
+            SweepEngine(parallel=False).run_regression_grid(RegressionGrid(
+                filters=("cge", "cwtm"), attacks=("zero", "sign-flip"),
+                num_seeds=1, n=7, iterations=5,
+            ))
+        finally:
+            _design_rank_verdict.cache_clear()
+        assert sorted(calls) == [((7, 2), 1), ((7, 2), 2)]
 
 
 class TestExperimentWiring:

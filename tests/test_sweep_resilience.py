@@ -186,6 +186,34 @@ class TestCacheIntegrity:
         assert_cells_equal(cells, first)
         assert engine2.events.counts()["cache_hit"] == len(first)
 
+    @pytest.mark.parametrize("damage", ["ragged", "wide", "text", "flat"])
+    def test_checksummed_malformed_entry_recomputed(self, tmp_path, damage):
+        # A valid checksum over a malformed document must not reach the
+        # parent's array conversion: the entry reads as corrupt instead.
+        from repro.utils.atomicio import read_json_checked, write_json_atomic
+
+        cache = str(tmp_path / "cache")
+        reference = SweepEngine(
+            parallel=False, cache_dir=cache
+        ).run_regression_grid(self.TINY)
+        path = os.path.join(cache, cache_entries(cache)[0])
+        doc = read_json_checked(path)
+        if damage == "ragged":
+            doc["estimates"][3] = [1.0]
+        elif damage == "wide":
+            doc["estimates"] = [row + [0.0] for row in doc["estimates"]]
+        elif damage == "text":
+            doc["estimates"][0][0] = "1.0"
+        else:
+            doc["estimates"] = doc["final_estimate"]
+        write_json_atomic(path, doc)
+        engine = SweepEngine(parallel=False, cache_dir=cache)
+        cells = engine.run_regression_grid(self.TINY)
+        assert_cells_equal(cells, reference)
+        counts = engine.events.counts()
+        assert counts["cache_corrupt"] == 1
+        assert counts["cache_hit"] == len(reference) - 1
+
 
 class TestResume:
     def test_resume_recomputes_only_missing_cells(self, tmp_path,
