@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import abc
-from typing import Dict, Optional
 
 import numpy as np
 
@@ -86,9 +85,8 @@ class GradientFilter(abc.ABC):
         gradients:
             Array-like of shape ``(K, n, d)``: ``K`` independent ``(n, d)``
             gradient matrices (one per replicate run). Non-finite entries
-            are sanitized exactly as in :meth:`__call__`. Floating dtypes
-            are preserved (the batch engine's ``float32`` precision mode
-            rides on that); anything else is cast to float64.
+            are sanitized exactly as in :meth:`__call__`; the tensor is
+            cast to float64.
         presanitized:
             Skip the internal :meth:`sanitize` pass. Callers that already
             sanitized the exact tensor they pass in (the batch engine
@@ -103,9 +101,7 @@ class GradientFilter(abc.ABC):
             loops over the slices; filters with a vectorized kernel
             override :meth:`_aggregate_batch`.
         """
-        tensor = np.asarray(gradients)
-        if tensor.dtype not in (np.float32, np.float64):
-            tensor = tensor.astype(float)
+        tensor = np.asarray(gradients, dtype=float)
         if tensor.ndim != 3:
             raise InvalidParameterError(
                 f"gradients must be a (K, n, d) tensor, got shape {tensor.shape}"
@@ -129,18 +125,6 @@ class GradientFilter(abc.ABC):
         bit-identical to the loop (the equivalence suite enforces this).
         """
         return np.stack([self._aggregate(matrix) for matrix in tensor])
-
-    def kernel_spec(self) -> Optional[Dict]:
-        """A plain-dict description of the filter's batched kernel.
-
-        The :mod:`repro.system.backends` seam uses this to route the
-        aggregation to an alternative array backend without importing any
-        filter class: ``{"kind": "cge", "f": 1, "mode": "sum"}`` and so
-        on. ``None`` (the default) means the filter has no
-        backend-portable kernel — the batch engine then always aggregates
-        through the filter's own numpy implementation.
-        """
-        return None
 
     @staticmethod
     def sanitize(matrix: np.ndarray, cap: float = 1e12) -> np.ndarray:

@@ -88,8 +88,5 @@ class ComparativeGradientElimination(GradientFilter):
     def _aggregate_batch(self, tensor: np.ndarray) -> np.ndarray:
         return kernels.cge_aggregate_batch(tensor, self._f, self._mode)
 
-    def kernel_spec(self):
-        return {"kind": "cge", "f": self._f, "mode": self._mode}
-
     def __repr__(self) -> str:
         return f"ComparativeGradientElimination(f={self._f}, mode={self._mode!r})"

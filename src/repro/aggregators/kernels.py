@@ -1,16 +1,13 @@
 """Pure-numpy batched aggregation kernels.
 
 The gradient filters in this package expose their hot loops as free
-functions over ``(K, n, d)`` tensors so that (a) the scalar and batched
-filter paths share one implementation — which is what makes the batch
-engine's bit-identity contract hold *by construction* — and (b) the
-:mod:`repro.system.backends` seam can describe an aggregation as a plain
-``kernel_spec`` dict and route it to an alternative array backend without
-importing any filter class.
+functions over ``(K, n, d)`` tensors so that the scalar and batched filter
+paths share one implementation — which is what makes the batch engine's
+bit-identity contract hold *by construction*. The decentralized engine
+calls the same functions on its per-agent neighbourhood tensors.
 
 This module must stay importable with numpy alone (no ``repro.system``
-imports): the backend layer imports it, and the aggregators sit below the
-system layer in the package graph.
+imports): the aggregators sit below the system layer in the package graph.
 
 Determinism notes
 -----------------
@@ -31,10 +28,8 @@ __all__ = [
     "cge_kept_indices",
     "cge_kept_indices_batch",
     "mean_batch",
-    "median_batch",
     "partition_trimmed_mean",
     "sort_trimmed_mean",
-    "sum_batch",
 ]
 
 
@@ -141,21 +136,10 @@ def cge_aggregate_batch(tensor: np.ndarray, f: int, mode: str = "sum") -> np.nda
 
 
 # ----------------------------------------------------------------------
-# Trivial batched kernels (uniform entry points for the backend seam)
+# Mean (the ``scale_mean_*`` benches' baseline kernel)
 # ----------------------------------------------------------------------
 
 
 def mean_batch(tensor: np.ndarray) -> np.ndarray:
     """Per-slice arithmetic mean: ``(K, n, d)`` → ``(K, d)``."""
     return tensor.mean(axis=1)
-
-
-def sum_batch(tensor: np.ndarray) -> np.ndarray:
-    """Per-slice sum: ``(K, n, d)`` → ``(K, d)``."""
-    return tensor.sum(axis=1)
-
-
-def median_batch(tensor: np.ndarray) -> np.ndarray:
-    """Per-slice coordinate-wise median (numpy semantics: even ``n``
-    averages the two middle order statistics)."""
-    return np.median(tensor, axis=1)

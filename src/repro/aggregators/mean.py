@@ -30,9 +30,6 @@ class Average(GradientFilter):
     def _aggregate_batch(self, tensor: np.ndarray) -> np.ndarray:
         return tensor.mean(axis=1)
 
-    def kernel_spec(self):
-        return {"kind": "mean"}
-
 
 class TrimmedSum(GradientFilter):
     """Sum of all received gradients (the fault-free DGD direction).
@@ -52,6 +49,3 @@ class TrimmedSum(GradientFilter):
 
     def _aggregate_batch(self, tensor: np.ndarray) -> np.ndarray:
         return tensor.sum(axis=1)
-
-    def kernel_spec(self):
-        return {"kind": "sum"}

@@ -26,9 +26,6 @@ class CoordinateWiseMedian(GradientFilter):
     def _aggregate_batch(self, tensor: np.ndarray) -> np.ndarray:
         return np.median(tensor, axis=1)
 
-    def kernel_spec(self):
-        return {"kind": "median", "f": self._f}
-
 
 class GeometricMedian(GradientFilter):
     """Geometric (spatial) median computed with Weiszfeld's algorithm.

@@ -35,6 +35,3 @@ class CoordinateWiseTrimmedMean(GradientFilter):
 
     def _aggregate_batch(self, tensor: np.ndarray) -> np.ndarray:
         return kernels.partition_trimmed_mean(tensor, self._f)
-
-    def kernel_spec(self):
-        return {"kind": "cwtm", "f": self._f}

@@ -243,15 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(seeds derived from --seed)",
     )
     profile.add_argument(
-        "--array-backend", default="numpy", dest="array_backend",
-        help="array backend for the batch engine's hot kernels "
-        "(numpy/torch/numba; requires --runs > 1)",
-    )
-    profile.add_argument(
-        "--dtype", default="float64", choices=["float64", "float32"],
-        help="batch-engine working precision (requires --runs > 1)",
-    )
-    profile.add_argument(
         "--telemetry", metavar="PATH", default=None,
         help="also keep the raw JSONL record stream at PATH",
     )
@@ -298,17 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--backend", choices=["batch", "sequential"], default="batch",
         help="per-cell execution engine (numerically identical)",
-    )
-    sweep.add_argument(
-        "--array-backend", default="numpy", dest="array_backend",
-        help="array backend for the batch engine's hot kernels "
-        "(numpy keeps bit-identity; torch/numba are tolerance-class "
-        "extras with their own cache namespace)",
-    )
-    sweep.add_argument(
-        "--dtype", default="float64", choices=["float64", "float32"],
-        help="batch-engine working precision (float32 gets its own "
-        "cache namespace)",
     )
     sweep.add_argument(
         "--cache-dir", default=None,
@@ -961,13 +941,6 @@ def _command_profile(args) -> int:
     if args.runs <= 0:
         print("error: --runs must be positive", file=sys.stderr)
         return 2
-    if args.runs == 1 and (args.array_backend != "numpy" or args.dtype != "float64"):
-        print(
-            "error: --array-backend/--dtype profile the batch engine; "
-            "use --runs > 1",
-            file=sys.stderr,
-        )
-        return 2
     instance = make_redundant_regression(
         n=args.n, d=args.d, f=args.f, noise_std=args.noise, seed=args.seed
     )
@@ -999,8 +972,6 @@ def _command_profile(args) -> int:
             faulty_ids=faulty,
             iterations=args.iterations,
             telemetry=telemetry,
-            backend=args.array_backend,
-            dtype=None if args.dtype == "float64" else args.dtype,
         )
     summary = telemetry.summary()
     telemetry.close()
@@ -1035,7 +1006,7 @@ def _command_redundancy(args) -> int:
 
 
 def _command_sweep(args) -> int:
-    from repro.exceptions import BackendUnavailableError, InvalidParameterError
+    from repro.exceptions import InvalidParameterError
     from repro.experiments.sweep import RegressionGrid, SweepEngine, summarize_grid
 
     if args.resume and args.cache_dir is None:
@@ -1063,10 +1034,8 @@ def _command_sweep(args) -> int:
             retries=args.retries,
             events=args.events,
             telemetry_dir=args.telemetry,
-            array_backend=args.array_backend,
-            dtype=args.dtype,
         )
-    except (InvalidParameterError, BackendUnavailableError) as exc:
+    except InvalidParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     cells = engine.resume(grid) if args.resume else engine.run_regression_grid(grid)
@@ -1465,19 +1434,9 @@ def _command_trace_report(args) -> int:
 
 
 def _command_list(_args) -> int:
-    from repro.system.backends import available_backends
-
     print("gradient filters:", ", ".join(available_filters()))
     print("attacks:         ", ", ".join(available_attacks()))
     print("experiments:     ", ", ".join(sorted(EXPERIMENTS)))
-    backends = available_backends()
-    print(
-        "array backends:  ",
-        ", ".join(
-            name if ok else f"{name} (unavailable)"
-            for name, ok in sorted(backends.items())
-        ),
-    )
     return 0
 
 

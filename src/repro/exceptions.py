@@ -117,17 +117,6 @@ class CacheIntegrityError(ReproError, RuntimeError):
     """
 
 
-class BackendUnavailableError(ReproError, ImportError):
-    """A named array backend's implementation cannot be imported.
-
-    Raised by :mod:`repro.system.backends` when resolving an optional
-    backend (``"torch"``, ``"numba"``) whose extra dependency is not
-    installed. Deriving from :class:`ImportError` lets test suites treat
-    it with ``pytest.importorskip``-style gating, while :class:`ReproError`
-    keeps it catchable alongside other configuration failures.
-    """
-
-
 class BenchSchemaError(ReproError, ValueError):
     """A benchmark document violates the ``repro.bench`` result schema.
 

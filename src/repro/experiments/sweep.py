@@ -238,23 +238,15 @@ class SweepCellResult:
 
 
 def _cell_cache_payload(grid_fields: Dict, filter_name: str, attack_name: str,
-                        f: int, seed: int, array_backend: str = "numpy",
-                        dtype: str = "float64") -> Dict:
+                        f: int, seed: int) -> Dict:
     """The exact configuration a cell's cache key is derived from.
 
     Excludes execution details (batch-vs-sequential engine, worker count,
     chunking, timeout, retries) on purpose: the batch engine is
     bit-identical to the sequential runner and the resilience machinery
     only re-executes pure work, so none of them can change the result.
-
-    A non-default ``array_backend`` or ``dtype`` *does* enter the key:
-    tolerance-class backends and float32 produce different (close, not
-    identical) numbers, so their cells must not collide with the
-    bit-identity-pinned default entries. The defaults are omitted rather
-    than written as explicit keys, keeping every pre-existing cache entry
-    and manifest valid.
     """
-    payload = {
+    return {
         "kind": "regression-dgd",
         "version": 1,
         **grid_fields,
@@ -263,11 +255,6 @@ def _cell_cache_payload(grid_fields: Dict, filter_name: str, attack_name: str,
         "f": f,
         "seed": seed,
     }
-    if array_backend != "numpy":
-        payload["array_backend"] = array_backend
-    if dtype != "float64":
-        payload["dtype"] = dtype
-    return payload
 
 
 def _valid_cell_payload(payload) -> bool:
@@ -346,8 +333,6 @@ def _run_regression_group(task: Dict) -> List[Dict]:
     filter_name, attack_name, f = task["filter"], task["attack"], task["f"]
     seeds, cache_dir = task["seeds"], task["cache_dir"]
     backend = task["backend"]
-    array_backend = task.get("array_backend", "numpy")
-    dtype = task.get("dtype", "float64")
     telemetry_dir = task.get("telemetry_dir")
     trace_payload = task.get("trace")
 
@@ -357,8 +342,7 @@ def _run_regression_group(task: Dict) -> List[Dict]:
     for index, seed in enumerate(seeds):
         if cache_dir is not None:
             key = _config_hash(
-                _cell_cache_payload(grid_fields, filter_name, attack_name, f,
-                                    seed, array_backend, dtype)
+                _cell_cache_payload(grid_fields, filter_name, attack_name, f, seed)
             )
             path = os.path.join(cache_dir, f"{key}.json")
             if os.path.exists(path):
@@ -424,8 +408,7 @@ def _run_regression_group(task: Dict) -> List[Dict]:
             if backend == "batch":
                 traces = run_dgd_batch(
                     instance.costs, behavior, config, seeds=missing_seeds,
-                    telemetry=telemetry, backend=array_backend,
-                    dtype=None if dtype == "float64" else dtype,
+                    telemetry=telemetry,
                 )
             else:
                 traces = []
@@ -444,9 +427,8 @@ def _run_regression_group(task: Dict) -> List[Dict]:
                 fresh.append(
                     {
                         "final_error": float(np.linalg.norm(final_estimate - x_H)),
-                        # float32 runs upcast exactly, as through JSON.
-                        "final_estimate": np.asarray(final_estimate, dtype=float),
-                        "estimates": np.asarray(trace.estimates, dtype=float),
+                        "final_estimate": final_estimate,
+                        "estimates": trace.estimates,
                         "cached": False,
                     }
                 )
@@ -466,8 +448,7 @@ def _run_regression_group(task: Dict) -> List[Dict]:
             if cache_dir is not None:
                 key = _config_hash(
                     _cell_cache_payload(
-                        grid_fields, filter_name, attack_name, f, seeds[index],
-                        array_backend, dtype,
+                        grid_fields, filter_name, attack_name, f, seeds[index]
                     )
                 )
                 stored = {
@@ -626,18 +607,6 @@ class SweepEngine:
         ``"batch"`` (vectorized multi-run engine, default) or
         ``"sequential"`` — numerically identical, the switch exists for
         benchmarking and for paranoia-mode verification.
-    array_backend:
-        Array backend name for the batch engine's hot kernels (see
-        :mod:`repro.system.backends`); ``"numpy"`` (default) keeps the
-        bit-identity contract, other registered backends run under the
-        tolerance contract and get their own cache-key namespace.
-        Requires ``backend="batch"``. Resolved eagerly so a missing
-        optional dependency fails at engine construction, not mid-grid.
-    dtype:
-        ``"float64"`` (default) or ``"float32"`` — the batch engine's
-        working precision. Float32 results live under their own cache
-        keys, like non-default array backends. Requires
-        ``backend="batch"``.
     timeout:
         Per-chunk wall-clock budget in seconds (pool mode only). A chunk
         exceeding it counts as one failed attempt; the pool is killed and
@@ -700,8 +669,6 @@ class SweepEngine:
         worker_wrapper: Optional[Callable[[Callable], Callable]] = None,
         chunk_size: Optional[int] = None,
         telemetry_dir: Optional[str] = None,
-        array_backend: str = "numpy",
-        dtype: str = "float64",
         pool: Optional[SharedProcessPool] = None,
         trace: Optional[TraceContext] = None,
     ):
@@ -709,21 +676,6 @@ class SweepEngine:
             raise InvalidParameterError(
                 f"backend must be 'batch' or 'sequential', got {backend!r}"
             )
-        if dtype not in ("float64", "float32"):
-            raise InvalidParameterError(
-                f"dtype must be 'float64' or 'float32', got {dtype!r}"
-            )
-        if backend == "sequential" and (array_backend != "numpy" or dtype != "float64"):
-            raise InvalidParameterError(
-                "array_backend/dtype apply to the batch engine only; "
-                "backend='sequential' supports neither"
-            )
-        if array_backend != "numpy":
-            # Fail fast (unknown name or missing optional dependency) at
-            # construction instead of inside every pool worker.
-            from repro.system.backends import resolve_backend
-
-            resolve_backend(array_backend)
         if max_workers is not None and max_workers <= 0:
             raise InvalidParameterError(
                 f"max_workers must be positive, got {max_workers}"
@@ -751,8 +703,6 @@ class SweepEngine:
         self._shared_pool = pool
         self._map_lock = threading.RLock()
         self._telemetry_dir = telemetry_dir
-        self._array_backend = str(array_backend)
-        self._dtype = dtype
         self._trace = trace
         self._trace_map_seq = 0
         if trace is not None:
@@ -785,14 +735,6 @@ class SweepEngine:
     @property
     def telemetry_dir(self) -> Optional[str]:
         return self._telemetry_dir
-
-    @property
-    def array_backend(self) -> str:
-        return self._array_backend
-
-    @property
-    def dtype(self) -> str:
-        return self._dtype
 
     @property
     def trace(self) -> Optional[TraceContext]:
@@ -1247,10 +1189,8 @@ class SweepEngine:
                                 "f": f,
                                 "seed": seed,
                                 "key": _config_hash(
-                                    _cell_cache_payload(
-                                        grid_fields, filter_name, attack_name,
-                                        f, seed, self._array_backend, self._dtype,
-                                    )
+                                    _cell_cache_payload(grid_fields, filter_name,
+                                                        attack_name, f, seed)
                                 ),
                             }
                         )
@@ -1369,8 +1309,6 @@ class SweepEngine:
                 "seeds": seeds,
                 "cache_dir": self._cache_dir,
                 "backend": self._backend,
-                "array_backend": self._array_backend,
-                "dtype": self._dtype,
                 "telemetry_dir": self._telemetry_dir,
             }
             for f in grid.fault_counts

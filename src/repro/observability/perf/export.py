@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.exceptions import InvalidParameterError
-from repro.observability.exporters import load_jsonl
+from repro.observability.exporters import _percentile, load_jsonl
 from repro.utils.atomicio import write_json_atomic
 
 __all__ = [
@@ -326,17 +326,6 @@ def parse_chrome_trace(document) -> List[Dict]:
 # ----------------------------------------------------------------------
 
 
-def _percentile(values: List[float], q: float) -> float:
-    ordered = sorted(values)
-    if not ordered:
-        return 0.0
-    position = (len(ordered) - 1) * q
-    low = int(position)
-    high = min(low + 1, len(ordered) - 1)
-    fraction = position - low
-    return ordered[low] * (1 - fraction) + ordered[high] * fraction
-
-
 def _render_node(
     node: SpanNode, depth: int, total: float, lines: List[str]
 ) -> None:
@@ -365,7 +354,7 @@ def _render_node(
             lines.append(
                 f"{'  ' * (depth + 1)}{child.name} x{len(group)}  "
                 f"{group_total * 1000:.2f}ms total  "
-                f"p95={_percentile(durations, 0.95) * 1000:.3f}ms  "
+                f"p95={_percentile(durations, 95) * 1000:.3f}ms  "
                 f"({group_share:.1f}%)"
             )
         else:

@@ -10,7 +10,7 @@ alternating-projection algorithm.
 from __future__ import annotations
 
 import abc
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -216,3 +216,34 @@ class IntersectionSet(ConvexSet):
 
     def __repr__(self) -> str:
         return f"IntersectionSet(k={len(self._members)}, d={self.dimension})"
+
+
+def numpy_batch_projector(projection: ConvexSet) -> Callable[[np.ndarray], np.ndarray]:
+    """A map projecting each row of a ``(K, d)`` matrix onto ``projection``.
+
+    Bit-identical to ``projection.project`` row by row: closed-form for
+    boxes, balls and ``R^d``, a per-row loop for every other set. The ball
+    norms come from a stacked ``(1, d) @ (d, 1)`` matmul, which evaluates
+    the same dot product ``np.linalg.norm`` takes on one vector;
+    ``np.linalg.norm(..., axis=1)`` sums the squares in a different order.
+    """
+    if isinstance(projection, BoxSet):
+        lower, upper = projection.lower, projection.upper
+        return lambda X: np.clip(X, lower, upper)
+    if isinstance(projection, UnconstrainedSet):
+        return lambda X: X
+    if isinstance(projection, BallSet):
+        center, radius = projection.center, projection.radius
+
+        def project_ball(X: np.ndarray) -> np.ndarray:
+            delta = X - center
+            norms = np.sqrt((delta[:, None, :] @ delta[:, :, None])[:, 0, 0])
+            outside = norms > radius
+            if np.any(outside):
+                X = X.copy()
+                scales = radius / norms[outside]
+                X[outside] = center + delta[outside] * scales[:, None]
+            return X
+
+        return project_ball
+    return lambda X: np.stack([projection.project(row) for row in X])

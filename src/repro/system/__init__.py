@@ -12,13 +12,6 @@ crash-recovery) and the self-healing server runtime that survives it.
 """
 
 from repro.system.adversary import Adversary
-from repro.system.backends import (
-    ArrayBackend,
-    available_backends,
-    backend_names,
-    register_backend,
-    resolve_backend,
-)
 from repro.system.agents import Agent, CrashAgent, HonestAgent
 from repro.system.broadcast import BroadcastResult, EquivocatingSender, byzantine_broadcast
 from repro.system.messages import EstimateBroadcast, GradientMessage, Message
@@ -95,11 +88,6 @@ __all__ = [
     "run_dgd",
     "run_dgd_batch",
     "batch_unsupported_reason",
-    "ArrayBackend",
-    "available_backends",
-    "backend_names",
-    "register_backend",
-    "resolve_backend",
     "apply_config_overrides",
     "byzantine_broadcast",
     "BroadcastResult",

@@ -25,15 +25,11 @@ Fast-path requirements (checked by :func:`batch_unsupported_reason`):
 Configurations outside the fast path transparently fall back to sequential
 :func:`run_dgd` per seed, so callers never need to special-case.
 
-The hot kernels — the batched affine gradient map, the filter aggregation,
-and the projection — run behind the :mod:`repro.system.backends` seam.
-The default ``backend="numpy"`` is the frozen reference arithmetic (the
-bit-identity contract above is pinned against it); optional backends
-(``"torch"``, ``"numba"``) trade bit-identity for speed under an
-``np.allclose`` tolerance contract. ``dtype="float32"`` halves the memory
-footprint of the ``(K, n, d)`` tensors (tolerance contract again), and
-``tile_size`` streams the batch through bounded working sets so large
-``K × n × d`` products never materialize at once.
+All arithmetic is float64 numpy. The batched affine gradient map
+``(P[None] @ X[:, None, :, None])[..., 0] + q[None]`` is a broadcast matmul
+that matches the sequential per-agent ``dgemv`` bit for bit; the filter
+aggregates through its own ``aggregate_batch``, and the projection is
+:func:`~repro.optimization.projections.numpy_batch_projector`.
 
 Attack forging is applied **per run slice**: deterministic behaviours
 (gradient-reverse, sign-flip, zero, constant-bias) are forged with one
@@ -48,7 +44,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -59,8 +55,7 @@ from repro.attacks.simple import ConstantBias, GradientReverse, SignFlip, ZeroGr
 from repro.exceptions import InvalidParameterError
 from repro.observability import TelemetryLike, ensure_telemetry
 from repro.optimization.cost_functions import CostFunction, QuadraticCost
-from repro.optimization.projections import BoxSet
-from repro.system.backends import ArrayBackend, resolve_backend
+from repro.optimization.projections import BoxSet, numpy_batch_projector
 from repro.system.runner import (
     DGDConfig,
     Trace,
@@ -101,25 +96,6 @@ def batch_unsupported_reason(
                 "gradient kernel (only quadratic costs are vectorized)"
             )
     return None
-
-
-_DTYPES = {
-    None: np.float64,
-    "float64": np.float64,
-    "float32": np.float32,
-    np.float64: np.float64,
-    np.float32: np.float32,
-}
-
-
-def _resolve_dtype(dtype) -> np.dtype:
-    """Map a user-facing dtype spec to float32/float64 (the only two modes)."""
-    try:
-        return np.dtype(_DTYPES[dtype])
-    except (KeyError, TypeError):
-        raise InvalidParameterError(
-            f"dtype must be 'float64' or 'float32', got {dtype!r}"
-        ) from None
 
 
 def _forged_matrix(
@@ -235,7 +211,6 @@ def _emit_round_records(
     eta: float,
     t: int,
     seeds: Sequence[SeedLike],
-    run_offset: int = 0,
 ) -> None:
     """One telemetry round record per run slice (telemetry-enabled only).
 
@@ -244,8 +219,6 @@ def _emit_round_records(
     the records describe the same bytes the filter saw without a second
     sanitize pass. Norm statistics and kept sets are computed in vectorized
     passes; only the final per-run record assembly is a Python loop.
-    ``run_offset`` shifts the ``run`` tag when ``M`` covers one tile of a
-    larger batch; ``seeds`` is that tile's slice of the seed list.
     """
     norms = np.linalg.norm(M, axis=2)
     kept = None
@@ -259,7 +232,7 @@ def _emit_round_records(
             gradient_norms=norms[k],
             kept_ids=None if kept is None else kept[k],
             estimate=X[k],
-            run=run_offset + k,
+            run=k,
             seed=_json_seed(seeds[k]),
         )
 
@@ -271,9 +244,6 @@ def run_dgd_batch(
     seeds: Optional[Sequence[SeedLike]] = None,
     round_hook: Optional[Callable[[int], None]] = None,
     telemetry: TelemetryLike = None,
-    backend: Union[str, ArrayBackend] = "numpy",
-    dtype=None,
-    tile_size: Optional[int] = None,
     **config_overrides,
 ) -> List[Trace]:
     """Execute ``K`` replicate DGD runs, vectorized across the batch.
@@ -292,28 +262,7 @@ def run_dgd_batch(
         chaos suite to inject faults *mid-execution* (a raising hook
         aborts the batch; re-running it is bit-identical, so the sweep
         engine's retry ladder recovers exactly). Not invoked on the
-        sequential fallback path, which has no shared round loop. When
-        ``tile_size`` splits the batch, the hook fires once per tile per
-        round.
-    backend:
-        A registered array-backend name (``"numpy"``, ``"torch"``,
-        ``"numba"``) or an :class:`~repro.system.backends.ArrayBackend`
-        instance. The default ``"numpy"`` is the bit-identity-pinned
-        reference; other backends run the hot kernels (affine gradient
-        map, filter aggregation, projection) under a tolerance contract.
-        A filter without a backend-portable ``kernel_spec`` aggregates
-        through its own numpy implementation regardless of the backend.
-    dtype:
-        ``"float64"`` (default) or ``"float32"``. Float32 halves the
-        working-set footprint of the ``(K, n, d)`` tensors; like non-numpy
-        backends it is held to the tolerance contract, not bit-identity.
-    tile_size:
-        Maximum number of runs materialized at once. ``None`` (default)
-        processes the whole batch in one ``(K, n, d)`` tensor; a positive
-        value streams ceil(K / tile_size) bounded tiles through the round
-        loop, trading a little per-tile overhead for a bounded peak
-        memory of ``O(tile_size · n · d)``. Traces are unaffected — runs
-        are independent, so tiling is invisible in the output.
+        sequential fallback path, which has no shared round loop.
     telemetry:
         Optional :class:`~repro.observability.Telemetry` handle (or JSONL
         path), defaulting to the no-op. On the fast path it emits one
@@ -341,13 +290,6 @@ def run_dgd_batch(
     seeds = [config.seed] if seeds is None else list(seeds)
     if not seeds:
         raise InvalidParameterError("seeds must contain at least one entry")
-    backend_obj = resolve_backend(backend)
-    np_dtype = _resolve_dtype(dtype)
-    if tile_size is not None and tile_size <= 0:
-        raise InvalidParameterError(f"tile_size must be positive, got {tile_size}")
-    fast_path_only = (
-        backend_obj.name != "numpy" or np_dtype != np.float64 or tile_size is not None
-    )
 
     costs = list(costs)
     n = len(costs)
@@ -378,14 +320,6 @@ def run_dgd_batch(
     tel = ensure_telemetry(telemetry)
     reason = batch_unsupported_reason(costs, behavior, config, gradient_filter)
     if reason is not None:
-        if fast_path_only:
-            # Falling back would silently drop the requested backend, dtype,
-            # or tiling (the sequential runner has none of them) — refuse
-            # instead of degrading.
-            raise InvalidParameterError(
-                "backend/dtype/tile_size apply only to the vectorized fast "
-                f"path, but this configuration cannot take it: {reason}"
-            )
         traces = []
         for k, seed in enumerate(seeds):
             if tel:
@@ -424,21 +358,18 @@ def run_dgd_batch(
             "a compact convex W",
             stacklevel=2,
         )
-    project_batch = backend_obj.projector(projection)
+    project_batch = numpy_batch_projector(projection)
     x0 = (
         np.zeros(dimension)
         if config.x0 is None
         else check_vector(config.x0, dimension=dimension, name="x0")
     )
-    x0 = projection.project(x0).astype(np_dtype, copy=False)
+    x0 = projection.project(x0)
 
-    # Batched affine gradient map: G[k, i] = P_i @ X[k] + q_i, bound once on
-    # the backend (the numpy backend's broadcast matmul matches the
-    # sequential dgemv bit-for-bit). The constants are cast to the requested
-    # precision once, outside the round loop.
-    P = np.stack([cost.P for cost in costs]).astype(np_dtype, copy=False)
-    q = np.stack([cost.q for cost in costs]).astype(np_dtype, copy=False)
-    gradients = backend_obj.bind_affine(P, q)
+    # Batched affine gradient map G[k, i] = P_i @ X[k] + q_i; the broadcast
+    # matmul matches the sequential dgemv bit-for-bit.
+    P = np.stack([cost.P for cost in costs])
+    q = np.stack([cost.q for cost in costs])
 
     if n < gradient_filter.minimum_inputs():
         raise InvalidParameterError(
@@ -446,72 +377,46 @@ def run_dgd_batch(
             f"requires at least {gradient_filter.minimum_inputs()} gradients, "
             f"got {n}"
         )
-    spec = gradient_filter.kernel_spec()
-    use_backend_agg = (
-        backend_obj.name != "numpy"
-        and spec is not None
-        and backend_obj.supports(spec)
-    )
-
     faulty_idx = np.asarray(faulty_ids, dtype=int)
 
-    estimates = np.empty((K, T + 1, dimension), dtype=np_dtype)
-    directions = np.empty((K, T, dimension), dtype=np_dtype)
+    estimates = np.empty((K, T + 1, dimension))
+    directions = np.empty((K, T, dimension))
 
     filter_name = getattr(gradient_filter, "name", type(gradient_filter).__name__)
     if tel:
         tel.annotate(byzantine_ids=faulty_ids)
 
-    step = K if tile_size is None else int(tile_size)
-    tiles = [slice(lo, min(lo + step, K)) for lo in range(0, K, step)]
+    forge = (
+        _vectorized_forger(behavior, faulty_ids, honest_ids, costs, adversary_rngs)
+        if faulty_ids
+        else None
+    )
 
     start = time.perf_counter()
     with tel.span("run"):
-        for tile in tiles:
-            tile_seeds = seeds[tile]
-            forge = (
-                _vectorized_forger(
-                    behavior, faulty_ids, honest_ids, costs, adversary_rngs[tile]
+        X = np.broadcast_to(x0, (K, dimension)).copy()
+        estimates[:, 0] = X
+        for t in range(T):
+            with tel.span("round"):
+                G = (P[None] @ X[:, None, :, None])[..., 0] + q[None]
+                if forge is not None:
+                    M = _forged_matrix(G, forge(t, X, G), faulty_idx)
+                else:
+                    M = G
+                # The round's single sanitize pass: aggregation and the
+                # telemetry records below both consume this tensor.
+                M = GradientFilter.sanitize(M)
+                D = gradient_filter.aggregate_batch(M, presanitized=True)
+                directions[:, t] = D
+                eta = step_sizes(t)
+                X = project_batch(X - eta * D)
+                estimates[:, t + 1] = X
+            if tel:
+                _emit_round_records(
+                    tel, gradient_filter, filter_name, M, X, eta, t, seeds
                 )
-                if faulty_ids
-                else None
-            )
-            X = np.broadcast_to(x0, (len(tile_seeds), dimension)).copy()
-            estimates[tile, 0] = X
-            for t in range(T):
-                with tel.span("round"):
-                    G = gradients(X)
-                    if forge is not None:
-                        M = _forged_matrix(G, forge(t, X, G), faulty_idx)
-                    else:
-                        M = G
-                    # The round's single sanitize pass: aggregation and the
-                    # telemetry records below both consume this tensor.
-                    M = GradientFilter.sanitize(M)
-                    if use_backend_agg:
-                        D = backend_obj.aggregate(M, spec)
-                    else:
-                        D = gradient_filter.aggregate_batch(M, presanitized=True)
-                    directions[tile, t] = D
-                    eta = step_sizes(t)
-                    # asarray is a no-op in float64; in float32 it undoes the
-                    # float64 promotion some projections introduce.
-                    X = np.asarray(project_batch(X - eta * D), dtype=np_dtype)
-                    estimates[tile, t + 1] = X
-                if tel:
-                    _emit_round_records(
-                        tel,
-                        gradient_filter,
-                        filter_name,
-                        M,
-                        X,
-                        eta,
-                        t,
-                        tile_seeds,
-                        run_offset=tile.start,
-                    )
-                if round_hook is not None:
-                    round_hook(t)
+            if round_hook is not None:
+                round_hook(t)
     elapsed = time.perf_counter() - start
 
     # Closed-form network accounting: every round delivers one estimate
@@ -537,15 +442,7 @@ def run_dgd_batch(
                 bytes_delivered=bytes_delivered,
                 filter_name=filter_name,
                 crash_ids=[],
-                extra={
-                    "batch": {
-                        "size": K,
-                        "wall_time": elapsed,
-                        "backend": backend_obj.name,
-                        "dtype": np_dtype.name,
-                        "tile_size": tile_size,
-                    }
-                },
+                extra={"batch": {"size": K, "wall_time": elapsed}},
             )
         )
     return traces

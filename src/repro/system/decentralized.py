@@ -74,9 +74,8 @@ from repro.attacks.base import AttackContext, ByzantineBehavior
 from repro.exceptions import InvalidParameterError
 from repro.observability import TelemetryLike, ensure_telemetry
 from repro.optimization.cost_functions import CostFunction, QuadraticCost
-from repro.optimization.projections import BoxSet, ConvexSet
+from repro.optimization.projections import BoxSet, ConvexSet, numpy_batch_projector
 from repro.optimization.step_sizes import StepSizeSchedule, suggest_diminishing
-from repro.system.backends.numpy_backend import numpy_batch_projector
 from repro.system.healing import NeighborhoodLiveness, ResiliencePolicy
 from repro.system.netfaults import LinkFaultModel, corrupt_payload_rows
 from repro.system.topology import Topology

@@ -4,8 +4,8 @@ Every test in this module parametrizes over :func:`available_filters`,
 so a newly registered aggregator is covered automatically — it must
 satisfy the :class:`~repro.aggregators.base.GradientFilter` contract
 (permutation invariance over honest inputs where applicable,
-``kernel_spec()`` well-formedness, sanitize equivalence,
-scalar-vs-singleton-batch bit-identity, graceful ``f = 0``) the moment
+sanitize equivalence, scalar-vs-singleton-batch bit-identity,
+graceful ``f = 0``) the moment
 it lands in the registry, with no new test code.
 
 The contract checks are factored into ``_check_*`` helpers so the suite
@@ -13,8 +13,6 @@ can also prove it has teeth: ``TestSuiteCatchesViolations`` registers a
 deliberately contract-violating dummy aggregator and asserts the same
 helpers reject it.
 """
-
-import json
 
 import numpy as np
 import pytest
@@ -25,7 +23,6 @@ import repro.aggregators.registry as aggregator_registry
 from repro.aggregators import available_filters, make_filter
 from repro.aggregators.base import GradientFilter
 from repro.exceptions import InvalidParameterError, UnknownRegistryEntryError
-from repro.system.backends import resolve_backend
 
 # Instance large enough for every registered filter at f=1
 # (Bulyan needs n >= 4f + 3 = 7).
@@ -100,30 +97,6 @@ def _check_sanitize_contract(name, seed, registry=None):
     assert np.all(np.isfinite(direct)), f"{name} produced non-finite output"
 
 
-def _check_kernel_spec(name, registry=None):
-    spec = _fresh(name, registry=registry).kernel_spec()
-    if spec is None:
-        return
-    assert isinstance(spec, dict), f"{name}: kernel_spec must be a plain dict"
-    assert all(isinstance(k, str) for k in spec), (
-        f"{name}: kernel_spec keys must be strings"
-    )
-    # Must survive a JSON round-trip (sweep configs are plain data).
-    assert json.loads(json.dumps(spec)) == spec
-    backend = resolve_backend("numpy")
-    assert backend.supports(spec), (
-        f"{name} advertises kernel spec {spec!r} but the numpy backend "
-        "does not support it"
-    )
-    # The routed kernel must be bit-identical to the filter's own batch.
-    tensor = np.stack([_honest_matrix(s) for s in (0, 1, 2)])
-    expected = _fresh(name, registry=registry).aggregate_batch(tensor)
-    routed = backend.aggregate(tensor, spec)
-    assert np.array_equal(expected, routed), (
-        f"{name}: numpy backend kernel disagrees with aggregate_batch"
-    )
-
-
 def _check_f_zero(name, registry=None):
     gradient_filter = _fresh(name, f=0, registry=registry)
     assert gradient_filter.f == 0
@@ -171,11 +144,6 @@ def test_sanitize_identity_and_surrogates():
     assert np.array_equal(cleaned, [[100.0, 100.0], [-100.0, 1.0]])
     # The original is untouched.
     assert np.isnan(corrupted[0, 0])
-
-
-@pytest.mark.parametrize("name", available_filters())
-def test_kernel_spec_contract(name):
-    _check_kernel_spec(name)
 
 
 @pytest.mark.parametrize("name", available_filters())
@@ -249,18 +217,6 @@ class _BatchMismatchFilter(GradientFilter):
         return tensor.mean(axis=1) + 1e-6
 
 
-class _BadSpecFilter(GradientFilter):
-    """Advertises a kernel spec no backend understands."""
-
-    name = "cheat-spec"
-
-    def _aggregate(self, gradients):
-        return gradients.mean(axis=0)
-
-    def kernel_spec(self):
-        return {"kind": "no-such-kernel"}
-
-
 class TestSuiteCatchesViolations:
     """Registering a contract-violating dummy makes the suite fail."""
 
@@ -285,11 +241,6 @@ class TestSuiteCatchesViolations:
                 _BatchMismatchFilter.name, seed=0, registry=registry
             )
 
-    def test_bad_spec_dummy_fails_kernel_check(self, monkeypatch):
-        registry = self._registry_with(_BadSpecFilter, monkeypatch)
-        with pytest.raises(AssertionError, match="backend"):
-            _check_kernel_spec(_BadSpecFilter.name, registry=registry)
-
     def test_registry_restored_after_monkeypatch(self):
-        for cls in (_OrderDependentFilter, _BatchMismatchFilter, _BadSpecFilter):
+        for cls in (_OrderDependentFilter, _BatchMismatchFilter):
             assert cls.name not in available_filters()

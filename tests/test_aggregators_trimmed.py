@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.aggregators import kernels
 from repro.aggregators.median import CoordinateWiseMedian, GeometricMedian, weiszfeld
 from repro.aggregators.trimmed_mean import CoordinateWiseTrimmedMean
 from repro.exceptions import InvalidParameterError
@@ -38,6 +39,50 @@ class TestCWTM:
     def test_requires_2f_plus_one(self):
         with pytest.raises(InvalidParameterError):
             CoordinateWiseTrimmedMean(f=2)(np.ones((4, 2)))
+
+
+class TestPartitionTrimmedMean:
+    def test_matches_full_sort_reference(self):
+        rng = np.random.default_rng(42)
+        for trial in range(30):
+            K = int(rng.integers(1, 5))
+            n = int(rng.integers(3, 40))
+            f = int(rng.integers(0, (n - 1) // 2 + 1))
+            d = int(rng.integers(1, 12))
+            tensor = rng.normal(size=(K, n, d))
+            if trial % 3 == 0:  # engineered ties across the trim boundary
+                tensor = np.round(tensor)
+            if trial % 4 == 0:
+                tensor = tensor.astype(np.float32)
+            fast = kernels.partition_trimmed_mean(tensor, f)
+            reference = kernels.sort_trimmed_mean(tensor, f)
+            assert np.allclose(fast, reference, rtol=1e-6, atol=1e-6), (K, n, f, d)
+
+    def test_scalar_path_is_singleton_batch(self):
+        # CoordinateWiseTrimmedMean._aggregate == kernel on g[None] — the
+        # construction that keeps scalar/batch bit-identity trivially true.
+        rng = np.random.default_rng(7)
+        gradient_filter = CoordinateWiseTrimmedMean(f=3)
+        tensor = rng.normal(size=(6, 20, 5))
+        batched = gradient_filter.aggregate_batch(tensor)
+        for k in range(tensor.shape[0]):
+            assert np.array_equal(batched[k], gradient_filter(tensor[k]))
+
+    def test_lane_determinism_across_batch_sizes(self):
+        # A lane's result must not depend on how many other lanes share the
+        # call — the property the bit-identity argument rests on.
+        rng = np.random.default_rng(99)
+        tensor = rng.normal(size=(8, 64, 16))
+        whole = kernels.partition_trimmed_mean(tensor, 8)
+        for k in range(8):
+            alone = kernels.partition_trimmed_mean(tensor[k][None], 8)[0]
+            assert np.array_equal(whole[k], alone)
+
+    def test_input_tensor_not_mutated(self):
+        tensor = np.random.default_rng(1).normal(size=(2, 10, 3))
+        snapshot = tensor.copy()
+        kernels.partition_trimmed_mean(tensor, 2)
+        assert np.array_equal(tensor, snapshot)
 
 
 class TestCoordinateWiseMedian:

@@ -183,8 +183,7 @@ class TestSweepEngine:
         assert isinstance(rows[("cge", "zero")][4], float)
 
 
-def _direct_batch(grid, filter_name="cge", attack="gradient-reverse", f=1,
-                  dtype=None):
+def _direct_batch(grid, filter_name="cge", attack="gradient-reverse", f=1):
     """One group's traces from run_dgd_batch, without engine or cache."""
     from repro.attacks.registry import make_attack
     from repro.system.batch import run_dgd_batch
@@ -197,7 +196,7 @@ def _direct_batch(grid, filter_name="cge", attack="gradient-reverse", f=1,
     config = DGDConfig(iterations=grid.iterations, gradient_filter=filter_name,
                        faulty_ids=tuple(range(f)), f=f, x0=grid.x0, seed=0)
     return run_dgd_batch(instance.costs, make_attack(attack), config,
-                         seeds=grid.seeds(), dtype=dtype)
+                         seeds=grid.seeds())
 
 
 class TestArrayPayloads:
@@ -267,19 +266,6 @@ class TestArrayPayloads:
         cells = engine.run_regression_grid(self.GRID)
         assert all(c.cached for c in cells)
         self._assert_float64_equal(cells, direct)
-
-    def test_float32_cells_upcast_like_the_list_path(self, tmp_path):
-        traces = _direct_batch(self.GRID, dtype="float32")
-        # The list path: float32 -> Python floats -> float64 array.
-        expected = [np.asarray(t.estimates.tolist()) for t in traces]
-        for attempt in range(2):
-            cells = SweepEngine(
-                parallel=False, cache_dir=str(tmp_path), dtype="float32"
-            ).run_regression_grid(self.GRID)
-            assert all(c.cached for c in cells) == bool(attempt)
-            for cell, want in zip(cells, expected):
-                assert cell.estimates.dtype == np.float64
-                assert np.array_equal(cell.estimates, want)
 
     def test_instances_do_not_share_design_arrays(self):
         first = make_redundant_regression(n=8, d=2, f=2)
@@ -467,3 +453,11 @@ class TestCacheKeyProperties:
     def test_key_independent_of_field_insertion_order(self, order):
         shuffled = {name: BASE_FIELDS[name] for name in order}
         assert _key(shuffled) == _key()
+
+    def test_default_payload_unchanged(self):
+        # A digest recorded by an earlier engine: every cache entry and
+        # resume manifest written before must keep resolving to its cell.
+        fields = {"n": 6, "d": 2, "redundancy_f": 1, "noise_std": 0.0,
+                  "instance_seed": 1, "iterations": 50, "x0": None}
+        payload = _cell_cache_payload(fields, "cge", "zero", 1, 7)
+        assert _config_hash(payload) == "b0b34d4008d02582f0fce6b9286079a6"

@@ -29,6 +29,7 @@ from repro.attacks.registry import make_attack
 from repro.exceptions import InvalidParameterError
 from repro.experiments.common import PAPER_X0, REGRESSION_ATTACKS
 from repro.optimization.cost_functions import ScaledCost, TranslatedQuadratic
+from repro.optimization.projections import BallSet
 from repro.problems.linear_regression import make_redundant_regression
 from repro.system.batch import batch_unsupported_reason, run_dgd_batch
 from repro.system.runner import DGDConfig, run_dgd
@@ -106,6 +107,23 @@ class TestTraceEquivalence:
             iterations=40, gradient_filter="cge", faulty_ids=(1, 5), f=2
         )
         behavior = make_attack("sign-flip")
+        sequential = [run_dgd(instance.costs, behavior, config, seed=s) for s in SEEDS]
+        batched = run_dgd_batch(instance.costs, behavior, config, seeds=SEEDS)
+        for a, b in zip(sequential, batched):
+            assert_traces_identical(a, b)
+
+    @pytest.mark.parametrize("filter_name", ("cge", "cwtm", "median"))
+    def test_ball_projection_bit_identical(self, filter_name):
+        # The ball is small enough that the projection is active: the
+        # batched per-row norms must equal BallSet.project's 1-D norm.
+        instance = make_redundant_regression(
+            n=8, d=5, f=1, noise_std=0.02, seed=20200803
+        )
+        config = DGDConfig(
+            iterations=60, gradient_filter=filter_name, faulty_ids=(0,), f=1,
+            projection=BallSet(np.zeros(5), 0.5),
+        )
+        behavior = make_attack("gradient-reverse")
         sequential = [run_dgd(instance.costs, behavior, config, seed=s) for s in SEEDS]
         batched = run_dgd_batch(instance.costs, behavior, config, seeds=SEEDS)
         for a, b in zip(sequential, batched):
