@@ -19,9 +19,11 @@ provides the missing execution layer:
   with a different worker count yields the same numbers.
 - **Checksummed on-disk trace cache.** Each cell's trace is stored under a
   SHA-256 hash of its full configuration, written atomically
-  (write-then-rename) with an end-to-end content checksum. Truncated or
-  bit-flipped entries are detected on read, discarded, and recomputed —
-  corruption can cost time, never correctness.
+  (write-then-rename) with an end-to-end content checksum; its float64
+  arrays travel as raw little-endian records (base64 inside the JSON), so
+  a cached trace reads back bit for bit. Truncated or bit-flipped entries
+  are detected on read, discarded, and recomputed — corruption can cost
+  time, never correctness.
 
 The engine is built to survive the faults infrastructure actually
 exhibits, mirroring how CGE survives Byzantine gradients (the paper's own
@@ -59,8 +61,11 @@ always safe to request.
 
 from __future__ import annotations
 
+import base64
+import binascii
 import hashlib
 import json
+import math
 import os
 import pickle
 import random
@@ -83,7 +88,11 @@ from repro.observability.exporters import (
     count_events,
     load_jsonl,
 )
-from repro.utils.atomicio import read_json_checked, write_json_atomic
+from repro.utils.atomicio import (
+    load_cache_entry,
+    read_json_checked,
+    write_json_atomic,
+)
 from repro.utils.rng import derive_seed, spawn_rngs
 
 __all__ = [
@@ -257,58 +266,94 @@ def _cell_cache_payload(grid_fields: Dict, filter_name: str, attack_name: str,
     }
 
 
+#: ``dtype`` tag of an array record: little-endian IEEE-754 float64.
+_RECORD_DTYPE = "<f8"
+_RECORD_KEYS = frozenset(("dtype", "shape", "b64"))
+
+
+def _encode_array(array: np.ndarray) -> Dict:
+    """A float64 array as one raw little-endian record (JSON-safe).
+
+    ``{"dtype": "<f8", "shape": [...], "b64": <base64 of the bytes>}`` —
+    every bit pattern (-0.0, subnormals, ±inf, NaN payloads) survives the
+    round trip through :func:`_decode_array`, and the record costs one
+    base64 pass instead of formatting each float as decimal text.
+    """
+    data = np.ascontiguousarray(array, dtype=_RECORD_DTYPE)
+    return {
+        "dtype": _RECORD_DTYPE,
+        "shape": list(data.shape),
+        "b64": base64.b64encode(data.tobytes()).decode("ascii"),
+    }
+
+
+def _decode_array(value) -> Optional[np.ndarray]:
+    """Decode a cached array: a record or a legacy nested list.
+
+    Returns a writable float64 array, or ``None`` when the value is
+    malformed — a wrong ``dtype`` tag, a negative or non-integer shape,
+    invalid base64, a byte length other than ``8 * prod(shape)``, or (for
+    lists) ragged rows or non-numeric entries. Entries written by earlier
+    versions hold nested lists, which stay readable.
+    """
+    if isinstance(value, list):
+        try:
+            array = np.asarray(value)
+        except (TypeError, ValueError):  # ragged rows
+            return None
+        if array.dtype.kind not in "fi":
+            return None
+        return array.astype(np.float64, copy=False)
+    if not isinstance(value, dict) or value.keys() != _RECORD_KEYS:
+        return None
+    shape, data = value["shape"], value["b64"]
+    if (
+        value["dtype"] != _RECORD_DTYPE
+        or not isinstance(shape, list)
+        or not all(type(size) is int and size >= 0 for size in shape)
+        or not isinstance(data, str)
+    ):
+        return None
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except (binascii.Error, ValueError):
+        return None
+    if len(raw) != 8 * math.prod(shape):
+        return None
+    array = np.frombuffer(bytearray(raw), dtype=_RECORD_DTYPE).reshape(shape)
+    return array.astype(np.float64, copy=False)
+
+
 def _valid_cell_payload(payload) -> bool:
-    """Does a cache document have the shape a cell payload must have?
+    """Check a cache document's shape, decoding its arrays in place.
 
     Guards the read path beyond the checksum: a legacy (pre-checksum)
     entry has no digest to verify, and single-bit corruption of a wrapper
     can demote a checksummed document to an apparently-legacy one — the
     shape check rejects both instead of poisoning results. A result entry
-    must hold a numeric ``final_estimate`` vector and a rectangular numeric
-    ``estimates`` matrix of the same width, so the read path's array
-    conversion cannot fail.
+    must hold a ``final_estimate`` vector and an ``estimates`` matrix of
+    the same width, each an array record or (legacy) a rectangular numeric
+    list; on success both are replaced by their float64 arrays, so the
+    read path decodes each entry exactly once.
     """
     if not isinstance(payload, dict):
         return False
     if "error" in payload:
         return isinstance(payload["error"], str)
-    if not all(key in payload for key in ("final_error", "final_estimate",
-                                          "estimates")):
+    if "final_error" not in payload:
         return False
-    try:
-        final = np.asarray(payload["final_estimate"])
-        estimates = np.asarray(payload["estimates"])
-    except (TypeError, ValueError):  # ragged rows
+    final = _decode_array(payload.get("final_estimate"))
+    estimates = _decode_array(payload.get("estimates"))
+    if (
+        final is None
+        or estimates is None
+        or final.ndim != 1
+        or estimates.ndim != 2
+        or estimates.shape[1] != final.shape[0]
+    ):
         return False
-    return (
-        final.ndim == 1
-        and estimates.ndim == 2
-        and estimates.shape[1] == final.shape[0]
-        and final.dtype.kind in "fi"
-        and estimates.dtype.kind in "fi"
-    )
-
-
-def _load_cache_entry(path: str) -> Optional[Dict]:
-    """Read one cache entry; ``None`` means corrupt/invalid (recompute).
-
-    Never raises on bad content: truncated JSON, checksum mismatches, and
-    shape violations all report as a miss, and the damaged file is removed
-    so the rewrite is clean.
-    """
-    try:
-        payload = read_json_checked(path)
-    except CacheIntegrityError:
-        payload = None
-    if payload is not None and not _valid_cell_payload(payload):
-        payload = None
-    if payload is None:
-        try:
-            os.remove(path)
-        except OSError:
-            pass
-        return None
-    return payload
+    payload["final_estimate"], payload["estimates"] = final, estimates
+    return True
 
 
 def _run_regression_group(task: Dict) -> List[Dict]:
@@ -321,7 +366,9 @@ def _run_regression_group(task: Dict) -> List[Dict]:
     each payload carries ``cache_state`` (``"hit"``, ``"miss"``, or
     ``"corrupt"``) so the parent can log cache events. Result payloads
     carry ``final_estimate`` and ``estimates`` as float64 arrays, fresh or
-    cached alike: lists exist only inside the JSON cache entries.
+    cached alike: the entry stores each as a raw float64 record
+    (:func:`_encode_array`), and the read path's shape check decodes it
+    once (:func:`_valid_cell_payload`).
     """
     from repro.attacks.registry import make_attack
     from repro.observability import Telemetry, TraceContext
@@ -346,11 +393,8 @@ def _run_regression_group(task: Dict) -> List[Dict]:
             )
             path = os.path.join(cache_dir, f"{key}.json")
             if os.path.exists(path):
-                payload = _load_cache_entry(path)
+                payload = load_cache_entry(path, _valid_cell_payload)
                 if payload is not None:
-                    if "error" not in payload:
-                        for name in ("final_estimate", "estimates"):
-                            payload[name] = np.asarray(payload[name], dtype=float)
                     payload["cached"] = True
                     payload["cache_state"] = "hit"
                     payloads[index] = payload
@@ -452,7 +496,7 @@ def _run_regression_group(task: Dict) -> List[Dict]:
                     )
                 )
                 stored = {
-                    name: value.tolist() if isinstance(value, np.ndarray) else value
+                    name: _encode_array(value) if isinstance(value, np.ndarray) else value
                     for name, value in payload.items()
                     if name not in ("cached", "cache_state")
                 }

@@ -39,7 +39,7 @@ import numpy as np
 from repro.analysis.reporting import ExperimentResult
 from repro.exceptions import InvalidParameterError, ReproError
 from repro.experiments.sweep import SweepEngine, _config_hash
-from repro.utils.atomicio import write_json_atomic
+from repro.utils.atomicio import load_cache_entry, write_json_atomic
 
 __all__ = [
     "DEFAULT_VARIANTS",
@@ -124,26 +124,6 @@ def _valid_cell_payload(payload) -> bool:
     )
 
 
-def _load_cell_entry(path: str) -> Optional[Dict]:
-    """Read one cell cache entry; ``None`` means corrupt/foreign."""
-    from repro.exceptions import CacheIntegrityError
-    from repro.utils.atomicio import read_json_checked
-
-    try:
-        payload = read_json_checked(path)
-    except CacheIntegrityError:
-        payload = None
-    if payload is not None and not _valid_cell_payload(payload):
-        payload = None
-    if payload is None:
-        try:
-            os.remove(path)
-        except OSError:
-            pass
-        return None
-    return payload
-
-
 def full_local_rank_costs(n: int, d: int, instance_seed: int):
     """``n`` quadratic costs sharing the exact minimizer ``x* = 1``.
 
@@ -183,7 +163,7 @@ def _run_topology_cell(task: Dict) -> Dict:
         key = _config_hash(_cell_cache_payload(task))
         path = os.path.join(cache_dir, f"{key}.json")
         if os.path.exists(path):
-            payload = _load_cell_entry(path)
+            payload = load_cache_entry(path, _valid_cell_payload)
             if payload is not None:
                 payload["cached"] = True
                 return payload

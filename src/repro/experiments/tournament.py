@@ -65,7 +65,11 @@ from repro.experiments.sweep import (
     _config_hash,
     derive_run_seeds,
 )
-from repro.utils.atomicio import read_json_dict_checked, write_json_atomic
+from repro.utils.atomicio import (
+    load_cache_entry,
+    read_json_dict_checked,
+    write_json_atomic,
+)
 
 __all__ = [
     "TOURNAMENT_SCHEMA",
@@ -335,33 +339,6 @@ def _valid_match_payload(payload) -> bool:
     )
 
 
-def _load_match_entry(path: str) -> Optional[Dict]:
-    """Read one match cache entry; ``None`` means corrupt/foreign (recompute).
-
-    The tournament analogue of the sweep layer's cell loader, with the
-    *match* shape check: a checksummed document of the wrong shape (e.g.
-    a regression cell that somehow landed under a colliding key) is as
-    unusable as a truncated one. Never raises; the damaged file is
-    removed so the rewrite is clean.
-    """
-    from repro.exceptions import CacheIntegrityError
-    from repro.utils.atomicio import read_json_checked
-
-    try:
-        payload = read_json_checked(path)
-    except CacheIntegrityError:
-        payload = None
-    if payload is not None and not _valid_match_payload(payload):
-        payload = None
-    if payload is None:
-        try:
-            os.remove(path)
-        except OSError:
-            pass
-        return None
-    return payload
-
-
 def _run_match_group(task: Dict) -> List[Dict]:
     """Execute one (filter, attack-configuration) match across its seeds.
 
@@ -395,7 +372,7 @@ def _run_match_group(task: Dict) -> List[Dict]:
             )
             path = os.path.join(cache_dir, f"{key}.json")
             if os.path.exists(path):
-                payload = _load_match_entry(path)
+                payload = load_cache_entry(path, _valid_match_payload)
                 if payload is not None:
                     payload["cached"] = True
                     payload["cache_state"] = "hit"

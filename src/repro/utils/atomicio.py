@@ -7,10 +7,11 @@ corrupt bytes in place, and a partially synced directory can expose a file
 that parses but carries the wrong content. Two invariants defend against
 all of them:
 
-- **Atomic visibility.** :func:`write_json_atomic` serializes to a
-  temporary sibling and ``os.replace``\\ s it into place, so a reader never
-  observes a half-written document — it sees the old file, the new file,
-  or no file.
+- **Atomic visibility.** :func:`write_json_atomic` serializes the whole
+  document in memory, writes it to a temporary sibling unique to the
+  calling process and thread, and ``os.replace``\\ s it into place, so a
+  reader never observes a half-written document — it sees the old file,
+  the new file, or no file.
 - **End-to-end integrity.** Documents are wrapped as
   ``{"sha256": <hexdigest>, "payload": <document>}`` where the digest is
   taken over the canonical JSON encoding of the payload.
@@ -22,6 +23,10 @@ Legacy documents written before checksumming (bare payloads with no
 wrapper) are still readable: they parse, carry no digest, and are returned
 as-is — callers that require integrity can reject them via
 ``require_checksum=True``.
+
+:func:`load_cache_entry` is the read side every on-disk result cache
+shares: read, verify, apply the caller's shape check, and delete the file
+when any of them fails so the recomputed entry is written cleanly.
 """
 
 from __future__ import annotations
@@ -29,7 +34,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Any, Dict
+import threading
+from typing import Any, Callable, Dict, Optional
 
 from repro.exceptions import CacheIntegrityError
 
@@ -39,6 +45,7 @@ __all__ = [
     "payload_checksum",
     "write_json_atomic",
     "read_json_checked",
+    "load_cache_entry",
 ]
 
 #: Wrapper field holding the hex digest of the canonical payload encoding.
@@ -62,17 +69,29 @@ def write_json_atomic(path: str, payload: Any, checksum: bool = True) -> str:
 
     With ``checksum=True`` (the default) the document is wrapped as
     ``{"sha256": ..., "payload": ...}`` so :func:`read_json_checked` can
-    verify it end-to-end. The bytes land in a temporary sibling first and
-    are renamed into place, so concurrent readers never see a partial
-    file and concurrent writers of identical content are idempotent.
+    verify it end-to-end. The document is encoded once, in memory, before
+    any file is opened, so a payload that cannot be serialized leaves
+    nothing on disk. It lands in a temporary sibling named for the calling
+    process and thread, so no two writers share one, and is renamed into
+    place: readers never see a partial file, and concurrent writers of one
+    path leave the last one's complete document. A failed write or rename
+    removes its temporary file before the error propagates.
     """
     document: Any = payload
     if checksum:
         document = {CHECKSUM_KEY: payload_checksum(payload), PAYLOAD_KEY: payload}
-    tmp_path = f"{path}.tmp.{os.getpid()}"
-    with open(tmp_path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle)
-    os.replace(tmp_path, path)
+    text = json.dumps(document)
+    tmp_path = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
+    try:
+        with open(tmp_path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp_path, path)
+    except BaseException:
+        try:
+            os.remove(tmp_path)
+        except OSError:
+            pass
+        raise
     return path
 
 
@@ -132,4 +151,26 @@ def read_json_dict_checked(path: str, require_checksum: bool = False) -> Dict:
         raise CacheIntegrityError(
             f"{path} holds a {type(payload).__name__}, expected a JSON object"
         )
+    return payload
+
+
+def load_cache_entry(path: str, is_valid: Callable[[Any], bool]) -> Optional[Any]:
+    """Read one cache entry; ``None`` means corrupt or invalid (recompute).
+
+    Never raises on bad content: an unreadable or truncated file, a
+    checksum mismatch, and a payload ``is_valid`` rejects all read as a
+    miss, and the damaged file is removed so the rewrite is clean.
+    ``is_valid`` is the cache's shape check; it may normalize the payload
+    in place (e.g. decode arrays) before accepting it.
+    """
+    try:
+        payload = read_json_checked(path)
+    except CacheIntegrityError:
+        payload = None
+    if payload is None or not is_valid(payload):
+        try:
+            os.remove(path)
+        except OSError:
+            pass
+        return None
     return payload

@@ -461,3 +461,123 @@ class TestCacheKeyProperties:
                   "instance_seed": 1, "iterations": 50, "x0": None}
         payload = _cell_cache_payload(fields, "cge", "zero", 1, 7)
         assert _config_hash(payload) == "b0b34d4008d02582f0fce6b9286079a6"
+
+
+# ----------------------------------------------------------------------
+# Cache-entry array records
+# ----------------------------------------------------------------------
+
+import base64  # noqa: E402
+
+from hypothesis.extra import numpy as hnp  # noqa: E402
+
+from repro.experiments.sweep import _decode_array, _encode_array  # noqa: E402
+from repro.utils.atomicio import read_json_checked, write_json_atomic  # noqa: E402
+
+
+def _bits(array):
+    return np.ascontiguousarray(array, dtype=np.float64).view(np.uint64)
+
+
+def _cache_paths(cache_dir):
+    return sorted(
+        os.path.join(cache_dir, name) for name in os.listdir(cache_dir)
+        if name.endswith(".json") and not name.startswith("manifest")
+    )
+
+
+class TestArrayRecords:
+    """Entries store float64 arrays as raw little-endian records; decoding
+    is bit-exact, and any malformed record reads as a corrupt entry."""
+
+    GRID = RegressionGrid(filters=("cge",), attacks=("gradient-reverse",),
+                          num_seeds=2, iterations=15)
+
+    @given(data=st.data(), rows=st.integers(0, 301), cols=st.integers(1, 8),
+           matrix=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_round_trip_is_bit_exact(self, data, rows, cols, matrix):
+        # Raw 64-bit patterns cover every float: -0.0, subnormals, ±inf and
+        # NaNs with any sign and payload.
+        shape = (rows, cols) if matrix else (cols,)
+        bits = data.draw(hnp.arrays(np.uint64, shape,
+                                    elements=st.integers(0, 2**64 - 1)))
+        record = json.loads(json.dumps(_encode_array(bits.view(np.float64))))
+        decoded = _decode_array(record)
+        assert decoded.dtype == np.float64 and decoded.shape == shape
+        assert decoded.flags.writeable
+        assert np.array_equal(_bits(decoded), bits)
+
+    def test_special_values_round_trip(self):
+        values = np.array([[-0.0, 5e-324, np.inf], [-np.inf, np.nan, -2.5e-310]])
+        assert np.array_equal(_bits(_decode_array(_encode_array(values))),
+                              _bits(values))
+
+    @staticmethod
+    def _damage(doc, damage):
+        record = doc["estimates"]
+        if damage == "bad_base64":
+            # Characters outside the alphabet: a lenient decoder would skip
+            # them, the strict one rejects the record.
+            record["b64"] = "!!!!" + record["b64"]
+        elif damage == "byte_length":
+            raw = base64.b64decode(record["b64"])
+            record["b64"] = base64.b64encode(raw[:-8]).decode("ascii")
+        elif damage == "dtype":
+            record["dtype"] = "<f4"
+        elif damage == "negative_shape":
+            record["shape"] = [-record["shape"][0], record["shape"][1]]
+        elif damage == "float_shape":
+            record["shape"] = [float(size) for size in record["shape"]]
+        else:  # width
+            doc["final_estimate"] = _encode_array(np.zeros(record["shape"][1] + 1))
+
+    DAMAGES = ["bad_base64", "byte_length", "dtype", "negative_shape",
+               "float_shape", "width"]
+
+    @pytest.mark.parametrize("damage", DAMAGES)
+    def test_damaged_entry_reads_corrupt_and_recomputes(self, tmp_path, damage):
+        # A valid checksum over a malformed record: the entry reads as
+        # cache_corrupt and the recomputed cell is bit-identical.
+        cache = str(tmp_path)
+        direct = _direct_batch(self.GRID)
+        SweepEngine(parallel=False, cache_dir=cache).run_regression_grid(self.GRID)
+        path = _cache_paths(cache)[0]
+        doc = read_json_checked(path)
+        self._damage(doc, damage)
+        write_json_atomic(path, doc)
+        engine = SweepEngine(parallel=False, cache_dir=cache)
+        cells = engine.run_regression_grid(self.GRID)
+        counts = engine.events.counts()
+        assert counts["cache_corrupt"] == 1 and counts["cache_hit"] == 1
+        TestArrayPayloads._assert_float64_equal(cells, direct)
+        for cell, trace in zip(cells, direct):
+            assert np.array_equal(_bits(cell.estimates), _bits(trace.estimates))
+
+    def test_entry_holds_records_not_lists(self, tmp_path):
+        SweepEngine(parallel=False, cache_dir=str(tmp_path)).run_regression_grid(self.GRID)
+        for path in _cache_paths(str(tmp_path)):
+            doc = read_json_checked(path, require_checksum=True)
+            assert doc["estimates"]["dtype"] == "<f8"
+            assert doc["estimates"]["shape"] == [self.GRID.iterations + 1, self.GRID.d]
+            assert doc["final_estimate"]["shape"] == [self.GRID.d]
+
+    def test_list_entries_resume_next_to_record_entries(self, tmp_path):
+        # A cache filled partly by the earlier list-writing engine and partly
+        # by this one: a resume serves every cell from either form.
+        cache = str(tmp_path)
+        grid = RegressionGrid(filters=("cge",), attacks=("gradient-reverse",),
+                              num_seeds=4, iterations=15)
+        direct = _direct_batch(grid)
+        SweepEngine(parallel=False, cache_dir=cache).run_regression_grid(grid)
+        paths = _cache_paths(cache)
+        for path in paths[::2]:
+            doc = read_json_checked(path)
+            for name in ("final_estimate", "estimates"):
+                doc[name] = _decode_array(doc[name]).tolist()
+            write_json_atomic(path, doc)
+        engine = SweepEngine(parallel=False, cache_dir=cache)
+        cells = engine.resume(grid)
+        assert engine.events.counts()["cache_hit"] == grid.num_seeds
+        assert engine.events.counts().get("cache_miss", 0) == 0
+        TestArrayPayloads._assert_float64_equal(cells, direct)

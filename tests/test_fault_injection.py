@@ -30,6 +30,7 @@ from repro.system.faultinjection import (
     corrupt_json_file,
 )
 from repro.utils.atomicio import (
+    load_cache_entry,
     payload_checksum,
     read_json_checked,
     write_json_atomic,
@@ -106,6 +107,88 @@ class TestAtomicIO:
 
     def test_checksum_is_canonical(self):
         assert payload_checksum({"a": 1, "b": 2}) == payload_checksum({"b": 2, "a": 1})
+
+    def test_bytes_on_disk_are_the_default_json_encoding(self, tmp_path):
+        path = str(tmp_path / "doc.json")
+        payload = {"b": [1.5, -0.0, float("inf")], "a": {"z": None, "y": "t"}}
+        write_json_atomic(path, payload)
+        expected = json.dumps({"sha256": payload_checksum(payload), "payload": payload})
+        assert open(path, encoding="utf-8").read() == expected
+
+    def test_threads_writing_one_path(self, tmp_path):
+        # All writers share one pid; the temporary file must still be
+        # private to each call, or one writer renames another's file away.
+        import sys
+        import threading
+
+        path = str(tmp_path / "doc.json")
+        errors = []
+
+        def writer(tag):
+            try:
+                for i in range(500):
+                    write_json_atomic(path, {"writer": tag, "i": i})
+            except Exception as exc:  # collected, asserted below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(tag,)) for tag in "abcd"]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert read_json_checked(path, require_checksum=True)["i"] == 499
+        assert os.listdir(tmp_path) == ["doc.json"]
+
+    @pytest.mark.parametrize("checksum", [True, False])
+    def test_failed_serialization_leaves_no_tmp_file(self, tmp_path, checksum):
+        path = str(tmp_path / "doc.json")
+        with pytest.raises(TypeError):
+            write_json_atomic(path, {"x": object()}, checksum=checksum)
+        assert os.listdir(tmp_path) == []
+
+    def test_failed_rename_removes_tmp_file(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            write_json_atomic(str(tmp_path / "doc.json"), {"x": 1})
+        assert os.listdir(tmp_path) == []
+
+
+class TestLoadCacheEntry:
+    def test_valid_entry_returned(self, tmp_path):
+        path = str(tmp_path / "entry.json")
+        write_json_atomic(path, {"x": 1})
+        assert load_cache_entry(path, lambda p: "x" in p) == {"x": 1}
+        assert os.path.exists(path)
+
+    @pytest.mark.parametrize("damage", ["truncate", "bitflip", "garbage", "shape"])
+    def test_bad_entry_is_a_miss_and_removed(self, tmp_path, damage):
+        path = str(tmp_path / "entry.json")
+        write_json_atomic(path, {"x": list(range(50))})
+        if damage != "shape":
+            corrupt_json_file(path, mode=damage, seed=3)
+        shape_ok = damage != "shape"
+        assert load_cache_entry(path, lambda payload: shape_ok) is None
+        assert not os.path.exists(path)
+
+    def test_validator_may_normalize_in_place(self, tmp_path):
+        path = str(tmp_path / "entry.json")
+        write_json_atomic(path, {"x": [1, 2]})
+
+        def to_tuple(payload):
+            payload["x"] = tuple(payload["x"])
+            return True
+
+        assert load_cache_entry(path, to_tuple) == {"x": (1, 2)}
 
 
 class TestCallCounter:

@@ -190,6 +190,7 @@ class TestCacheIntegrity:
     def test_checksummed_malformed_entry_recomputed(self, tmp_path, damage):
         # A valid checksum over a malformed document must not reach the
         # parent's array conversion: the entry reads as corrupt instead.
+        from repro.experiments.sweep import _decode_array
         from repro.utils.atomicio import read_json_checked, write_json_atomic
 
         cache = str(tmp_path / "cache")
@@ -198,6 +199,10 @@ class TestCacheIntegrity:
         ).run_regression_grid(self.TINY)
         path = os.path.join(cache, cache_entries(cache)[0])
         doc = read_json_checked(path)
+        # The damage is done to the list form of the entry (nested lists,
+        # as earlier versions wrote it), which stays a supported read format.
+        for name in ("final_estimate", "estimates"):
+            doc[name] = _decode_array(doc[name]).tolist()
         if damage == "ragged":
             doc["estimates"][3] = [1.0]
         elif damage == "wide":
