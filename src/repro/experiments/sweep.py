@@ -8,7 +8,8 @@ provides the missing execution layer:
 - **Batched replication.** Cells that differ only in their seed are one
   :func:`repro.system.batch.run_dgd_batch` call — the vectorized engine
   executes all replicate runs as stacked tensors, bit-identical to the
-  sequential runner.
+  reference runner :func:`repro.system.runner.run_dgd` (and hands the
+  configurations it cannot vectorize to that runner, seed by seed).
 - **Process-pool fan-out.** Independent cell groups are scheduled onto a
   :class:`concurrent.futures.ProcessPoolExecutor` in contiguous chunks
   (one task per chunk keeps IPC overhead off the hot path). Results come
@@ -250,10 +251,10 @@ def _cell_cache_payload(grid_fields: Dict, filter_name: str, attack_name: str,
                         f: int, seed: int) -> Dict:
     """The exact configuration a cell's cache key is derived from.
 
-    Excludes execution details (batch-vs-sequential engine, worker count,
-    chunking, timeout, retries) on purpose: the batch engine is
-    bit-identical to the sequential runner and the resilience machinery
-    only re-executes pure work, so none of them can change the result.
+    Excludes execution details (worker count, chunking, timeout, retries)
+    on purpose: the batch engine is bit-identical to the reference runner
+    and the resilience machinery only re-executes pure work, so none of
+    them can change the result.
     """
     return {
         "kind": "regression-dgd",
@@ -374,12 +375,11 @@ def _run_regression_group(task: Dict) -> List[Dict]:
     from repro.observability import Telemetry, TraceContext
     from repro.problems.linear_regression import make_redundant_regression
     from repro.system.batch import run_dgd_batch
-    from repro.system.runner import DGDConfig, run_dgd
+    from repro.system.runner import DGDConfig
 
     grid_fields = task["grid_fields"]
     filter_name, attack_name, f = task["filter"], task["attack"], task["f"]
     seeds, cache_dir = task["seeds"], task["cache_dir"]
-    backend = task["backend"]
     telemetry_dir = task.get("telemetry_dir")
     trace_payload = task.get("trace")
 
@@ -449,22 +449,10 @@ def _run_regression_group(task: Dict) -> List[Dict]:
                 trace_name=group_name if group_trace is not None else None,
             )
         try:
-            if backend == "batch":
-                traces = run_dgd_batch(
-                    instance.costs, behavior, config, seeds=missing_seeds,
-                    telemetry=telemetry,
-                )
-            else:
-                traces = []
-                for run_index, s in enumerate(missing_seeds):
-                    if telemetry is not None:
-                        telemetry.emit("run_start", run=run_index, seed=int(s))
-                    traces.append(
-                        run_dgd(
-                            instance.costs, behavior, config, seed=s,
-                            telemetry=telemetry,
-                        )
-                    )
+            traces = run_dgd_batch(
+                instance.costs, behavior, config, seeds=missing_seeds,
+                telemetry=telemetry,
+            )
             fresh = []
             for trace in traces:
                 final_estimate = trace.final_estimate
@@ -514,6 +502,46 @@ class _PoolUnavailable(ReproError):
     subclass on modern Pythons — a broad ``except OSError`` around the
     pool loop would eat quarantine re-raises).
     """
+
+
+def _exit_with_parent(parent_pid: int) -> None:
+    """Pool-worker initializer: exit as soon as the pool's owner is gone.
+
+    An idle worker blocks on the call queue, whose write end it holds
+    itself, so it never sees EOF when its owner is SIGKILLed; without this
+    watch it would sleep forever as an orphan. A daemon thread polls
+    :func:`os.getppid` instead (reparenting changes it) and ends the worker
+    with :func:`os._exit`. ``PR_SET_PDEATHSIG`` would not do: it fires when
+    the *forking thread* exits, and the service forks workers from
+    short-lived ``asyncio.to_thread`` threads.
+    """
+
+    def watch() -> None:
+        while os.getppid() == parent_pid:
+            time.sleep(_PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="parent-watch", daemon=True).start()
+
+
+#: How often a pool worker checks that its owner is still alive.
+_PARENT_POLL_S = 0.5
+
+
+def _new_pool(workers: int) -> ProcessPoolExecutor:
+    """A process pool whose workers die with the process that built it.
+
+    Workers are forked children of the calling process (the default start
+    method on Linux), so their parent pid is the owner's until it dies.
+    """
+    try:
+        return ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=_exit_with_parent,
+            initargs=(os.getpid(),),
+        )
+    except (OSError, RuntimeError) as exc:
+        raise _PoolUnavailable(f"{type(exc).__name__}: {exc}") from exc
 
 
 class SharedProcessPool:
@@ -590,12 +618,7 @@ class SharedProcessPool:
         if self._closed:
             raise _PoolUnavailable("shared pool is closed")
         if self._pool is None:
-            try:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self._max_workers or workers
-                )
-            except (OSError, RuntimeError) as exc:
-                raise _PoolUnavailable(f"{type(exc).__name__}: {exc}") from exc
+            self._pool = _new_pool(self._max_workers or workers)
         return self._pool
 
     def invalidate(self) -> None:
@@ -637,6 +660,12 @@ def _quarantined_group(exc: BaseException, task: Dict) -> List[Dict]:
 class SweepEngine:
     """Chunked, fault-tolerant process-pool executor with per-cell caching.
 
+    Every regression cell group runs through
+    :func:`repro.system.batch.run_dgd_batch`; there is one execution
+    engine, with :func:`repro.system.runner.run_dgd` as the reference the
+    tests pin it to. Pool workers exit on their own when the process that
+    built the pool dies (see :func:`_new_pool`).
+
     Parameters
     ----------
     parallel:
@@ -647,10 +676,6 @@ class SweepEngine:
         scheduled chunks.
     cache_dir:
         Directory for the on-disk trace cache; ``None`` disables caching.
-    backend:
-        ``"batch"`` (vectorized multi-run engine, default) or
-        ``"sequential"`` — numerically identical, the switch exists for
-        benchmarking and for paranoia-mode verification.
     timeout:
         Per-chunk wall-clock budget in seconds (pool mode only). A chunk
         exceeding it counts as one failed attempt; the pool is killed and
@@ -705,7 +730,6 @@ class SweepEngine:
         parallel: bool = True,
         max_workers: Optional[int] = None,
         cache_dir: Optional[str] = None,
-        backend: str = "batch",
         timeout: Optional[float] = None,
         retries: int = 2,
         retry_backoff: float = 0.05,
@@ -716,10 +740,6 @@ class SweepEngine:
         pool: Optional[SharedProcessPool] = None,
         trace: Optional[TraceContext] = None,
     ):
-        if backend not in ("batch", "sequential"):
-            raise InvalidParameterError(
-                f"backend must be 'batch' or 'sequential', got {backend!r}"
-            )
         if max_workers is not None and max_workers <= 0:
             raise InvalidParameterError(
                 f"max_workers must be positive, got {max_workers}"
@@ -735,7 +755,6 @@ class SweepEngine:
         self._parallel = bool(parallel)
         self._max_workers = max_workers
         self._cache_dir = cache_dir
-        self._backend = backend
         self._timeout = timeout
         self._retries = int(retries)
         self._retry_backoff = float(retry_backoff)
@@ -767,10 +786,6 @@ class SweepEngine:
     @property
     def cache_dir(self) -> Optional[str]:
         return self._cache_dir
-
-    @property
-    def backend(self) -> str:
-        return self._backend
 
     @property
     def events(self) -> SweepEvents:
@@ -846,12 +861,6 @@ class SweepEngine:
         jitter = 0.5 + self._retry_rng.random()
         time.sleep(self._retry_backoff * (2 ** max(0, attempt - 1)) * jitter)
 
-    def _new_pool(self, workers: int) -> ProcessPoolExecutor:
-        try:
-            return ProcessPoolExecutor(max_workers=workers)
-        except (OSError, RuntimeError) as exc:
-            raise _PoolUnavailable(f"{type(exc).__name__}: {exc}") from exc
-
     @staticmethod
     def _kill_pool(pool: ProcessPoolExecutor) -> None:
         """Tear a pool down without waiting on hung or dead workers."""
@@ -921,7 +930,7 @@ class SweepEngine:
         """A live executor: the shared handle's (lazily built) or a private one."""
         if self._shared_pool is not None:
             return self._shared_pool.get(workers)
-        return self._new_pool(workers)
+        return _new_pool(workers)
 
     def _rebuild_pool(self, pool: ProcessPoolExecutor,
                       workers: int) -> ProcessPoolExecutor:
@@ -930,7 +939,7 @@ class SweepEngine:
             self._shared_pool.invalidate()
             return self._shared_pool.get(workers)
         self._kill_pool(pool)
-        return self._new_pool(workers)
+        return _new_pool(workers)
 
     def _release_pool(self, pool: Optional[ProcessPoolExecutor]) -> None:
         """Private pools die with their map; shared workers live on."""
@@ -1352,7 +1361,6 @@ class SweepEngine:
                 "f": f,
                 "seeds": seeds,
                 "cache_dir": self._cache_dir,
-                "backend": self._backend,
                 "telemetry_dir": self._telemetry_dir,
             }
             for f in grid.fault_counts

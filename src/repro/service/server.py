@@ -84,7 +84,6 @@ class ServiceConfig:
     max_queue: int = 64
     per_client: int = 8
     parallel: bool = True
-    backend: str = "batch"
     timeout: Optional[float] = None
     retries: int = 2
     job_ttl: Optional[float] = None
@@ -124,7 +123,6 @@ class ReproService:
             self.store,
             parallel=config.parallel,
             pool_workers=config.pool_workers,
-            backend=config.backend,
             timeout=config.timeout,
             retries=config.retries,
             metrics=self.metrics,

@@ -15,7 +15,7 @@ from repro.system.adversary import Adversary
 from repro.system.agents import Agent, CrashAgent, HonestAgent
 from repro.system.broadcast import BroadcastResult, EquivocatingSender, byzantine_broadcast
 from repro.system.messages import EstimateBroadcast, GradientMessage, Message
-from repro.system.network import DeliveryRecord, SynchronousNetwork
+from repro.system.network import DeliveryRecord
 from repro.system.batch import batch_unsupported_reason, run_dgd_batch
 from repro.system.faultinjection import (
     CallCounter,
@@ -76,7 +76,6 @@ __all__ = [
     "Message",
     "EstimateBroadcast",
     "GradientMessage",
-    "SynchronousNetwork",
     "DeliveryRecord",
     "Agent",
     "HonestAgent",

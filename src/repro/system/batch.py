@@ -19,8 +19,9 @@ Fast-path requirements (checked by :func:`batch_unsupported_reason`):
   affine map ``x ↦ P_i x + q_i``;
 - the gradient filter is stateless (all registry filters except
   ``clipping``);
-- no crash faults and no message recording (those need the full
-  message-passing simulator).
+- no crash faults, no message recording, and no network fault model,
+  resilience policy or checkpoint (those need the full message-passing
+  simulator).
 
 Configurations outside the fast path transparently fall back to sequential
 :func:`run_dgd` per seed, so callers never need to special-case.
@@ -84,6 +85,15 @@ def batch_unsupported_reason(
         return "crash faults need the full message-passing simulator"
     if config.record_messages:
         return "message recording needs the full message-passing simulator"
+    if (
+        config.fault_model is not None
+        or config.resilience is not None
+        or config.checkpoint_path is not None
+    ):
+        return (
+            "network faults, resilience policies and checkpoints need the "
+            "full message-passing simulator"
+        )
     if gradient_filter.stateful:
         return (
             f"filter {type(gradient_filter).__name__} is stateful and cannot "

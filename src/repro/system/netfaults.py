@@ -33,8 +33,10 @@ profile attached to one id.
 
 from __future__ import annotations
 
+import warnings
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Deque, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -44,8 +46,8 @@ from repro.system.faultinjection import (
     deterministic_draw,
     deterministic_draw_array,
 )
-from repro.system.messages import GradientMessage, Message
-from repro.system.network import DeliveryRecord, SynchronousNetwork
+from repro.system.messages import EstimateBroadcast, GradientMessage, Message
+from repro.system.network import DeliveryRecord
 from repro.utils.validation import check_probability
 
 __all__ = [
@@ -304,32 +306,32 @@ def corrupt_gradient(
     return damaged
 
 
-@dataclass(frozen=True)
-class _InFlight:
-    """One queued delivery: a message bound for ``receiver`` at ``due``."""
-
-    due: int
-    receiver: int
-    sequence: int
-    message: Message
-    copy_index: int = 0
+#: One queued copy in a receiver's inbox, collectable from round ``due``:
+#: ``(round_index, sender, sequence, due, message, copy_index)``. The leading
+#: fields are the canonical delivery order, so entries sort as plain tuples
+#: (the unique ``sequence`` settles every comparison before it could reach
+#: the message). A plain tuple, because one is built per message.
+_InFlight = Tuple[int, int, int, int, Message, int]
+_SEQUENCE, _DUE, _MESSAGE = 2, 3, 4
 
 
-class PartiallySynchronousNetwork(SynchronousNetwork):
-    """A round-based network whose deliveries obey a fault model.
+class PartiallySynchronousNetwork:
+    """The round-based network; its deliveries obey a fault model.
 
-    Unlike the synchronous parent — where :meth:`deliver` resolves a
-    message immediately — this network separates **submission** from
-    **collection**: :meth:`submit` applies the sender-or-receiver profile
-    (drop, delay, duplicate, corrupt) and queues surviving copies;
-    :meth:`collect` releases the copies due in the current round, in a
-    deterministic (optionally seeded-shuffled) order. With a null fault
-    model every submission is collectable in its own round in submission
-    order, so the schedule degenerates to the synchronous one.
+    :meth:`submit` applies the sender-or-receiver profile (drop, delay,
+    duplicate, corrupt) and queues surviving copies in the receiver's
+    inbox; :meth:`collect` releases the copies due in the current round, in
+    a deterministic (optionally seeded-shuffled) order. With the null fault
+    model (the default) every submission is collectable in its own round in
+    canonical order: that is the paper's synchronous network.
 
-    Traffic accounting extends the parent's: ``messages_delayed``,
-    ``messages_duplicated``, and ``messages_corrupted`` count fault
-    activity, and the delivery log records each copy when it is collected.
+    Traffic accounting: ``messages_delivered``/``bytes_delivered`` count
+    collected copies (useful traffic), ``messages_dropped``/``bytes_dropped``
+    what the network absorbed, and ``messages_delayed``,
+    ``messages_duplicated`` and ``messages_corrupted`` count fault
+    activity. The delivery log records each copy when it is collected (and
+    each drop when it happens), keeping at most ``log_capacity`` records;
+    the counters are never evicted.
 
     The queue (plus counters) round-trips through :meth:`state` /
     :meth:`restore_state` so a checkpointed run can resume with its
@@ -342,10 +344,19 @@ class PartiallySynchronousNetwork(SynchronousNetwork):
         fault_model: Optional[NetworkFaultModel] = None,
         log_capacity: int = 10_000,
     ):
-        super().__init__(drop_probabilities=None, rng=None, log_capacity=log_capacity)
+        if log_capacity <= 0:
+            raise InvalidParameterError(f"log_capacity must be positive, got {log_capacity}")
         self._model = fault_model if fault_model is not None else NetworkFaultModel()
-        self._queue: List[_InFlight] = []
+        self._log: Deque[DeliveryRecord] = deque(maxlen=int(log_capacity))
+        self._records_seen = 0
+        self._eviction_warned = False
+        #: Per-receiver inboxes, each in submission order.
+        self._inboxes: Dict[int, List[_InFlight]] = {}
         self._sequence = 0
+        self._messages_delivered = 0
+        self._messages_dropped = 0
+        self._bytes_delivered = 0
+        self._bytes_dropped = 0
         self._messages_delayed = 0
         self._messages_duplicated = 0
         self._messages_corrupted = 0
@@ -353,6 +364,29 @@ class PartiallySynchronousNetwork(SynchronousNetwork):
     @property
     def fault_model(self) -> NetworkFaultModel:
         return self._model
+
+    @property
+    def messages_delivered(self) -> int:
+        return self._messages_delivered
+
+    @property
+    def messages_dropped(self) -> int:
+        return self._messages_dropped
+
+    @property
+    def bytes_delivered(self) -> int:
+        return self._bytes_delivered
+
+    @property
+    def bytes_dropped(self) -> int:
+        """Payload bytes the network absorbed without delivering.
+
+        Dropped traffic costs the sender bandwidth even though nothing
+        arrives; accounting it separately keeps ``bytes_delivered`` an
+        honest measure of *useful* traffic instead of silently conflating
+        the two.
+        """
+        return self._bytes_dropped
 
     @property
     def messages_delayed(self) -> int:
@@ -369,60 +403,90 @@ class PartiallySynchronousNetwork(SynchronousNetwork):
     @property
     def pending_count(self) -> int:
         """Queued copies not yet collected."""
-        return len(self._queue)
+        return sum(len(inbox) for inbox in self._inboxes.values())
 
     def traffic_summary(self) -> Dict[str, int]:
-        summary = super().traffic_summary()
-        summary.update(
-            messages_delayed=self._messages_delayed,
-            messages_duplicated=self._messages_duplicated,
-            messages_corrupted=self._messages_corrupted,
-        )
-        return summary
+        """Delivered/dropped/fault-activity totals as a plain dict."""
+        return {
+            "messages_delivered": self._messages_delivered,
+            "messages_dropped": self._messages_dropped,
+            "bytes_delivered": self._bytes_delivered,
+            "bytes_dropped": self._bytes_dropped,
+            "messages_delayed": self._messages_delayed,
+            "messages_duplicated": self._messages_duplicated,
+            "messages_corrupted": self._messages_corrupted,
+        }
+
+    @property
+    def log_capacity(self) -> int:
+        """Maximum number of retained delivery records."""
+        return self._log.maxlen
+
+    @property
+    def records_evicted(self) -> int:
+        """Delivery records dropped from the log because it was full."""
+        return self._records_seen - len(self._log)
+
+    @property
+    def log(self) -> List[DeliveryRecord]:
+        """Retained delivery records, oldest first.
+
+        Warns (once per network) when the log has evicted records, so a
+        truncated delivery history is never mistaken for a complete one.
+        """
+        if self.records_evicted > 0 and not self._eviction_warned:
+            self._eviction_warned = True
+            warnings.warn(
+                f"network delivery log overflowed: {self.records_evicted} of "
+                f"{self._records_seen} records were evicted (capacity "
+                f"{self._log.maxlen}); raise log_capacity (e.g. via "
+                "DGDConfig.log_capacity) to retain the full history",
+                stacklevel=2,
+            )
+        return list(self._log)
 
     # ------------------------------------------------------------------
     # Fault application
     # ------------------------------------------------------------------
 
-    def _endpoint_profile(self, message: Message, receiver: int) -> Tuple[int, FaultProfile]:
-        """The agent-side endpoint whose profile governs this message.
-
-        Server→agent traffic is shaped by the receiving agent's link;
-        agent→server traffic by the sending agent's. (The trusted server
-        itself is assumed reliable, as in the paper.)
-        """
-        endpoint = message.sender if message.sender >= 0 else int(receiver)
-        return endpoint, self._model.profile(endpoint)
-
-    def _record_drop(self, message: Message, receiver: int) -> None:
-        record = DeliveryRecord(
-            round_index=message.round_index,
-            sender=message.sender,
-            receiver=int(receiver),
-            message_type=type(message).__name__,
-            size_bytes=message.size_bytes(),
-            dropped=True,
+    def _record(self, message: Message, receiver: int, dropped: bool) -> None:
+        size = message.size_bytes()
+        self._log.append(
+            DeliveryRecord(
+                message.round_index, message.sender, receiver,
+                type(message).__name__, size, dropped,
+            )
         )
-        self._log.append(record)
         self._records_seen += 1
-        self._messages_dropped += 1
-        self._bytes_dropped += record.size_bytes
+        if dropped:
+            self._messages_dropped += 1
+            self._bytes_dropped += size
+        else:
+            self._messages_delivered += 1
+            self._bytes_delivered += size
 
     def submit(self, message: Message, receiver: int, current_round: int) -> None:
         """Hand one message to the network in ``current_round``.
 
         Applies the governing endpoint profile and queues zero, one, or
-        two copies for future collection.
+        two copies for future collection. Server→agent traffic is shaped
+        by the receiving agent's link, agent→server traffic by the sending
+        agent's; the trusted server itself is reliable, as in the paper.
         """
-        endpoint, profile = self._endpoint_profile(message, receiver)
-        key = (endpoint, int(receiver), message.sender, message.round_index, current_round)
+        receiver = int(receiver)
+        endpoint = message.sender if message.sender >= 0 else receiver
+        profile = self._model.profiles.get(endpoint)
+        if profile is None:  # no fault configured: collectable this round
+            self._enqueue(message, receiver, current_round, 0)
+            return
+        key = (endpoint, receiver, message.sender, message.round_index, current_round)
         seed = self._model.seed
 
         if profile.is_down(current_round):
-            self._record_drop(message, receiver)
+            self._record(message, receiver, dropped=True)
             return
         if profile.drop_prob > 0 and deterministic_draw(seed, "drop", *key) < profile.drop_prob:
-            self._record_drop(message, receiver)
+            self._record(message, receiver, dropped=True)
             return
 
         delay = 0
@@ -458,15 +522,14 @@ class PartiallySynchronousNetwork(SynchronousNetwork):
             self._enqueue(payload, receiver, current_round + delay + extra, copy_index=1)
 
     def _enqueue(self, message: Message, receiver: int, due: int, copy_index: int) -> None:
-        self._queue.append(
-            _InFlight(
-                due=int(due),
-                receiver=int(receiver),
-                sequence=self._sequence,
-                message=message,
-                copy_index=copy_index,
-            )
+        entry = (
+            message.round_index, message.sender, self._sequence, int(due), message, copy_index
         )
+        inbox = self._inboxes.get(receiver)
+        if inbox is None:
+            self._inboxes[receiver] = [entry]
+        else:
+            inbox.append(entry)
         self._sequence += 1
 
     # ------------------------------------------------------------------
@@ -479,44 +542,42 @@ class PartiallySynchronousNetwork(SynchronousNetwork):
         Due copies arrive sorted by ``(message round, sender, submission
         sequence)`` — a canonical order so results are reproducible — or in
         a deterministic seeded shuffle when the model's ``reorder`` flag is
-        set. Each released copy is logged and counted as delivered.
+        set. Each released copy is logged and counted as delivered. Only
+        ``receiver``'s own inbox is scanned.
         """
         receiver = int(receiver)
-        due = [e for e in self._queue if e.receiver == receiver and e.due <= current_round]
+        due = self._inboxes.pop(receiver, None)
         if not due:
             return []
-        self._queue = [
-            e for e in self._queue if not (e.receiver == receiver and e.due <= current_round)
-        ]
-        due.sort(key=lambda e: (e.message.round_index, e.message.sender, e.sequence))
-        if self._model.reorder and len(due) > 1:
-            order = sorted(
-                range(len(due)),
-                key=lambda i: deterministic_draw(
-                    self._model.seed, "reorder", current_round, receiver, i
-                ),
-            )
-            due = [due[i] for i in order]
-        released: List[Message] = []
         for entry in due:
-            record = DeliveryRecord(
-                round_index=entry.message.round_index,
-                sender=entry.message.sender,
-                receiver=receiver,
-                message_type=type(entry.message).__name__,
-                size_bytes=entry.message.size_bytes(),
-                dropped=False,
-            )
-            self._log.append(record)
-            self._records_seen += 1
-            self._messages_delivered += 1
-            self._bytes_delivered += record.size_bytes
-            released.append(entry.message)
-        return released
+            if entry[_DUE] > current_round:
+                self._inboxes[receiver] = [e for e in due if e[_DUE] > current_round]
+                due = [e for e in due if e[_DUE] <= current_round]
+                break
+        if len(due) > 1:
+            due.sort()
+            if self._model.reorder:
+                order = sorted(
+                    range(len(due)),
+                    key=lambda i: deterministic_draw(
+                        self._model.seed, "reorder", current_round, receiver, i
+                    ),
+                )
+                due = [due[i] for i in order]
+        for index, entry in enumerate(due):
+            self._record(entry[_MESSAGE], receiver, False)
+            due[index] = entry[_MESSAGE]  # the due list becomes the released one
+        return due
 
     # ------------------------------------------------------------------
     # Checkpointing
     # ------------------------------------------------------------------
+
+    def _queued(self) -> List[Tuple[int, _InFlight]]:
+        """Every queued ``(receiver, copy)``, in submission order."""
+        entries = [(r, e) for r, inbox in self._inboxes.items() for e in inbox]
+        entries.sort(key=lambda item: item[1][_SEQUENCE])
+        return entries
 
     def state(self) -> Dict:
         """JSON-serializable snapshot of queue and counters.
@@ -529,16 +590,18 @@ class PartiallySynchronousNetwork(SynchronousNetwork):
             "sequence": self._sequence,
             "queue": [
                 {
-                    "due": e.due,
-                    "receiver": e.receiver,
-                    "sequence": e.sequence,
-                    "copy_index": e.copy_index,
-                    "kind": type(e.message).__name__,
-                    "sender": e.message.sender,
-                    "round_index": e.message.round_index,
-                    "payload": self._payload_of(e.message),
+                    "due": due,
+                    "receiver": receiver,
+                    "sequence": sequence,
+                    "copy_index": copy_index,
+                    "kind": type(message).__name__,
+                    "sender": sender,
+                    "round_index": round_index,
+                    "payload": self._payload_of(message),
                 }
-                for e in self._queue
+                for receiver, (
+                    round_index, sender, sequence, due, message, copy_index
+                ) in self._queued()
             ],
             "counters": {
                 "messages_delivered": self._messages_delivered,
@@ -558,16 +621,12 @@ class PartiallySynchronousNetwork(SynchronousNetwork):
             # float(hex) round-trips every float64 bit pattern; plain JSON
             # floats cannot carry NaN/Inf, which corrupted payloads contain.
             return [float(v).hex() for v in np.asarray(message.gradient, dtype=float)]
-        from repro.system.messages import EstimateBroadcast
-
         if isinstance(message, EstimateBroadcast):
             return [float(v).hex() for v in np.asarray(message.estimate, dtype=float)]
         return None
 
     def restore_state(self, state: Dict) -> None:
         """Restore a snapshot produced by :meth:`state`."""
-        from repro.system.messages import EstimateBroadcast
-
         self._sequence = int(state["sequence"])
         counters = state["counters"]
         self._messages_delivered = int(counters["messages_delivered"])
@@ -578,7 +637,7 @@ class PartiallySynchronousNetwork(SynchronousNetwork):
         self._messages_duplicated = int(counters["messages_duplicated"])
         self._messages_corrupted = int(counters["messages_corrupted"])
         self._records_seen = int(counters["records_seen"])
-        queue: List[_InFlight] = []
+        self._inboxes = {}
         for entry in state["queue"]:
             payload = (
                 None
@@ -601,16 +660,16 @@ class PartiallySynchronousNetwork(SynchronousNetwork):
                 raise InvalidParameterError(
                     f"cannot restore in-flight message of kind {entry['kind']!r}"
                 )
-            queue.append(
-                _InFlight(
-                    due=int(entry["due"]),
-                    receiver=int(entry["receiver"]),
-                    sequence=int(entry["sequence"]),
-                    message=message,
-                    copy_index=int(entry["copy_index"]),
+            self._inboxes.setdefault(int(entry["receiver"]), []).append(
+                (
+                    message.round_index,
+                    message.sender,
+                    int(entry["sequence"]),
+                    int(entry["due"]),
+                    message,
+                    int(entry["copy_index"]),
                 )
             )
-        self._queue = queue
 
 
 # ----------------------------------------------------------------------

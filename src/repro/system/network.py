@@ -1,26 +1,26 @@
-"""Synchronous round-based network simulator.
+"""Delivery records of the round-based network simulator.
 
-Models the paper's synchrony assumption: every message sent in a round is
-delivered within that round, so a missing reply is *proof* the sender is
-faulty (the server exploits this to eliminate silent agents). The network
-logs every delivery for post-hoc inspection and accounts traffic volume.
+The network itself is
+:class:`~repro.system.netfaults.PartiallySynchronousNetwork`: messages are
+handed over with ``submit`` and released with ``collect``. Under the null
+fault model every message submitted in a round is collected in that round,
+which is the paper's synchrony assumption — a missing reply is *proof* the
+sender is faulty (the server exploits this to eliminate silent agents).
+The network logs every delivery as a :class:`DeliveryRecord` for post-hoc
+inspection and accounts traffic volume.
 """
 
 from __future__ import annotations
 
-import warnings
-from collections import deque
-from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, List, Optional
-
-from repro.exceptions import InvalidParameterError
-from repro.system.messages import Message
-from repro.utils.validation import check_probability
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class DeliveryRecord:
-    """One delivered (or dropped) message, as seen by the network."""
+class DeliveryRecord(NamedTuple):
+    """One delivered (or dropped) message, as seen by the network.
+
+    A named tuple: the network builds one per message, so its construction
+    cost is part of every round's cost.
+    """
 
     round_index: int
     sender: int
@@ -28,152 +28,3 @@ class DeliveryRecord:
     message_type: str
     size_bytes: int
     dropped: bool
-
-
-class SynchronousNetwork:
-    """Delivers messages between nodes in lock-step rounds.
-
-    Parameters
-    ----------
-    drop_probabilities:
-        Optional per-sender probability that a message from that sender is
-        lost in a round. In the synchronous model only *faulty* senders may
-        be silent, so configuring a positive probability for an honest
-        agent models a crash fault that the server will correctly attribute
-        to faultiness.
-    rng:
-        Randomness source for drops.
-    log_capacity:
-        Maximum retained delivery records (older records are evicted);
-        counters are never evicted.
-    """
-
-    def __init__(
-        self,
-        drop_probabilities: Optional[Dict[int, float]] = None,
-        rng=None,
-        log_capacity: int = 10_000,
-    ):
-        if log_capacity <= 0:
-            raise InvalidParameterError(f"log_capacity must be positive, got {log_capacity}")
-        self._drop_probabilities = {
-            int(k): check_probability(v, name=f"drop_probabilities[{k}]")
-            for k, v in (drop_probabilities or {}).items()
-        }
-        self._rng = rng
-        self._log: Deque[DeliveryRecord] = deque(maxlen=int(log_capacity))
-        self._messages_delivered = 0
-        self._messages_dropped = 0
-        self._bytes_delivered = 0
-        self._bytes_dropped = 0
-        self._records_seen = 0
-        self._eviction_warned = False
-
-    @property
-    def messages_delivered(self) -> int:
-        return self._messages_delivered
-
-    @property
-    def messages_dropped(self) -> int:
-        return self._messages_dropped
-
-    @property
-    def bytes_delivered(self) -> int:
-        return self._bytes_delivered
-
-    @property
-    def bytes_dropped(self) -> int:
-        """Payload bytes the network absorbed without delivering.
-
-        Dropped traffic costs the sender bandwidth even though nothing
-        arrives; accounting it separately keeps ``bytes_delivered`` an
-        honest measure of *useful* traffic instead of silently conflating
-        the two.
-        """
-        return self._bytes_dropped
-
-    def traffic_summary(self) -> Dict[str, int]:
-        """Delivered/dropped message and byte totals as a plain dict."""
-        return {
-            "messages_delivered": self._messages_delivered,
-            "messages_dropped": self._messages_dropped,
-            "bytes_delivered": self._bytes_delivered,
-            "bytes_dropped": self._bytes_dropped,
-        }
-
-    @property
-    def log_capacity(self) -> int:
-        """Maximum number of retained delivery records."""
-        return self._log.maxlen
-
-    @property
-    def records_evicted(self) -> int:
-        """Delivery records dropped from the log because it was full."""
-        return self._records_seen - len(self._log)
-
-    @property
-    def log(self) -> List[DeliveryRecord]:
-        """Retained delivery records, oldest first.
-
-        Warns (once per network) when the log has evicted records, so a
-        truncated delivery history is never mistaken for a complete one.
-        """
-        if self.records_evicted > 0 and not self._eviction_warned:
-            self._eviction_warned = True
-            warnings.warn(
-                f"network delivery log overflowed: {self.records_evicted} of "
-                f"{self._records_seen} records were evicted (capacity "
-                f"{self._log.maxlen}); raise log_capacity (e.g. via "
-                "DGDConfig.log_capacity) to retain the full history",
-                stacklevel=2,
-            )
-        return list(self._log)
-
-    def _should_drop(self, sender: int) -> bool:
-        probability = self._drop_probabilities.get(sender, 0.0)
-        if probability <= 0.0:
-            return False
-        if self._rng is None:
-            raise InvalidParameterError(
-                "drop probabilities configured but no rng supplied to the network"
-            )
-        return bool(self._rng.random() < probability)
-
-    def deliver(self, message: Message, receiver: int) -> Optional[Message]:
-        """Deliver one message; returns ``None`` when the message is dropped."""
-        dropped = self._should_drop(message.sender)
-        record = DeliveryRecord(
-            round_index=message.round_index,
-            sender=message.sender,
-            receiver=int(receiver),
-            message_type=type(message).__name__,
-            size_bytes=message.size_bytes(),
-            dropped=dropped,
-        )
-        self._log.append(record)
-        self._records_seen += 1
-        if dropped:
-            self._messages_dropped += 1
-            self._bytes_dropped += record.size_bytes
-            return None
-        self._messages_delivered += 1
-        self._bytes_delivered += record.size_bytes
-        return message
-
-    def broadcast(self, message: Message, receivers: Iterable[int]) -> Dict[int, Message]:
-        """Deliver ``message`` to every receiver; returns the per-receiver copies."""
-        delivered: Dict[int, Message] = {}
-        for receiver in receivers:
-            result = self.deliver(message, receiver)
-            if result is not None:
-                delivered[int(receiver)] = result
-        return delivered
-
-    def gather(self, messages: Iterable[Message], receiver: int) -> List[Message]:
-        """Deliver many messages to one receiver, dropping per sender policy."""
-        received: List[Message] = []
-        for message in messages:
-            result = self.deliver(message, receiver)
-            if result is not None:
-                received.append(result)
-        return received

@@ -1,8 +1,13 @@
 """End-to-end execution of the server-based filtered DGD protocol.
 
 :func:`run_dgd` wires together cost functions, honest agents, the rushing
-adversary, the synchronous network, and the server, and records a full
-:class:`Trace` of the execution for the analysis and experiment layers.
+adversary, the network, and the server, and records a full :class:`Trace`
+of the execution for the analysis and experiment layers. It has one round
+loop — broadcast ``x^t``, collect gradients, filter, project — over one
+:class:`~repro.system.netfaults.PartiallySynchronousNetwork`, whose null
+fault model is the paper's synchronous network. It is the reference
+execution: :func:`repro.system.batch.run_dgd_batch` is pinned
+bit-identical to it.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ from repro.system.agents import Agent, CrashAgent, HonestAgent
 from repro.system.healing import ResiliencePolicy, ResilientDGDServer
 from repro.system.messages import SERVER_ID, GradientMessage
 from repro.system.netfaults import NetworkFaultModel, PartiallySynchronousNetwork
-from repro.system.network import SynchronousNetwork
 from repro.system.server import DGDServer, fixed_filter_factory
 from repro.utils.atomicio import read_json_checked, write_json_atomic
 from repro.utils.rng import SeedLike, ensure_rng, spawn_rngs
@@ -75,11 +79,14 @@ class DGDConfig:
         agent counts against ``f``; the server detects the silence and
         eliminates the agent.
     fault_model:
-        Optional :class:`~repro.system.netfaults.NetworkFaultModel`. When
-        set (even to a null model), the execution runs on the
-        partially-synchronous network and the self-healing
-        :class:`~repro.system.healing.ResilientDGDServer`; a null model
-        reproduces the synchronous execution bit-for-bit.
+        Optional :class:`~repro.system.netfaults.NetworkFaultModel` of the
+        network; ``None`` is the null model (perfect synchrony). The round
+        loop is the same either way; what changes is the server. When
+        ``fault_model``, ``resilience`` or ``checkpoint_path`` is set (even
+        to a null model), the self-healing
+        :class:`~repro.system.healing.ResilientDGDServer` takes each round
+        deadline, otherwise the strict :class:`~repro.system.server.DGDServer`
+        does; under a null model both give the same trajectory bit-for-bit.
     resilience:
         Optional :class:`~repro.system.healing.ResiliencePolicy` override;
         defaults to ``ResiliencePolicy.for_model(fault_model)``.
@@ -88,7 +95,7 @@ class DGDConfig:
         :mod:`repro.utils.atomicio` discipline). When the file already
         holds a checkpoint of this same configuration, the run *resumes*
         from it and reproduces the uninterrupted trajectory bit-for-bit.
-        Implies the partially-synchronous engine.
+        Implies the self-healing server.
     checkpoint_every:
         Checkpoint cadence in rounds (a final checkpoint is always
         written on completion).
@@ -293,7 +300,9 @@ def run_dgd(
         raise InvalidParameterError("faulty agents configured but no behavior given")
 
     master = ensure_rng(config.seed)
-    adversary_rng, network_rng = spawn_rngs(master, 2)
+    # The second stream is reserved (the network draws nothing from it) so
+    # the adversary stream of every seed stays what it has always been.
+    adversary_rng, _network_rng = spawn_rngs(master, 2)
 
     gradient_filter = config.gradient_filter
     if isinstance(gradient_filter, str):
@@ -325,6 +334,7 @@ def run_dgd(
     agents: Dict[int, Agent] = {i: HonestAgent(i, costs[i]) for i in honest_ids}
     for i, crash_round in crash_rounds.items():
         agents[i] = CrashAgent(i, costs[i], crash_round=crash_round)
+    adversary_ids = set(faulty_ids)
     adversary = (
         Adversary(
             behavior,
@@ -339,67 +349,136 @@ def run_dgd(
     if tel:
         tel.annotate(byzantine_ids=faulty_ids + sorted(crash_rounds))
 
-    if (
+    # One round loop for both servers. Without a fault model, resilience
+    # policy or checkpoint the strict paper server runs (silence proves
+    # faultiness); otherwise the self-healing server takes each round's
+    # deadline. The network is the same either way: its null fault model
+    # is the synchronous network.
+    resilient = (
         config.fault_model is not None
         or config.resilience is not None
         or config.checkpoint_path is not None
-    ):
-        return _run_partially_synchronous(
-            config=config,
-            tel=tel,
-            agents=agents,
-            adversary=adversary,
-            faulty_ids=faulty_ids,
-            crash_rounds=crash_rounds,
-            honest_ids=honest_ids,
-            gradient_filter=gradient_filter,
-            step_sizes=step_sizes,
-            projection=projection,
-            x0=x0,
+    )
+    model = config.fault_model if config.fault_model is not None else NetworkFaultModel()
+    filter_name = getattr(gradient_filter, "name", type(gradient_filter).__name__)
+    network = PartiallySynchronousNetwork(model, log_capacity=config.log_capacity)
+    if resilient:
+        server: DGDServer = ResilientDGDServer(
+            fixed_filter_factory(gradient_filter),
+            step_sizes,
+            projection,
+            x0,
             n=n,
             f=f,
-            dimension=dimension,
-            round_hook=round_hook,
+            telemetry=tel,
+            policy=(
+                config.resilience
+                if config.resilience is not None
+                else ResiliencePolicy.for_model(model)
+            ),
         )
+        server_step = server.step_partial
+    else:
+        server = DGDServer.with_fixed_filter(
+            gradient_filter, step_sizes, projection, x0, n=n, f=f, telemetry=tel
+        )
+        server_step = server.step
 
-    network = SynchronousNetwork(rng=network_rng, log_capacity=config.log_capacity)
-    server = DGDServer.with_fixed_filter(
-        gradient_filter, step_sizes, projection, x0, n=n, f=f, telemetry=tel
-    )
-
-    estimates = np.empty((config.iterations + 1, dimension))
-    directions = np.empty((config.iterations, dimension))
+    iterations = config.iterations
+    estimates = np.empty((iterations + 1, dimension))
+    directions = np.empty((iterations, dimension))
     estimates[0] = server.estimate
+
+    start_round = 0
+    if config.checkpoint_path:
+        if config.checkpoint_every <= 0:
+            raise InvalidParameterError(
+                f"checkpoint_every must be positive, got {config.checkpoint_every}"
+            )
+        fingerprint = _checkpoint_fingerprint(
+            config, n, f, dimension, faulty_ids, crash_rounds, filter_name
+        )
+        saved = _load_checkpoint(config.checkpoint_path, fingerprint, iterations)
+        if saved is not None:
+            server.restore(saved["server"])
+            network.restore_state(saved["network"])
+            if adversary is not None and saved["adversary_rng"] is not None:
+                adversary._rng.bit_generator.state = saved["adversary_rng"]
+            for agent_id, crashed in saved["agents"].items():
+                agent = agents.get(int(agent_id))
+                if isinstance(agent, CrashAgent):
+                    agent._crashed = bool(crashed)
+            start_round = int(saved["round"])
+            estimates[: start_round + 1] = _unhex_matrix(saved["estimates"])
+            if start_round:
+                directions[:start_round] = _unhex_matrix(saved["directions"])
+            if tel:
+                tel.emit("resume", round=start_round, path=config.checkpoint_path)
 
     start = time.perf_counter()
     with tel.span("run"):
-        for t in range(config.iterations):
+        for t in range(start_round, iterations):
             with tel.span("round"):
                 broadcast = server.make_broadcast()
-                active = set(server.active_agents)
-                delivered = network.broadcast(broadcast, sorted(active))
+                active = server.active_agents
+                for agent_id in active:
+                    network.submit(broadcast, agent_id, t)
                 honest_replies: List[GradientMessage] = []
-                for agent_id in sorted(active & set(agents)):
-                    if agent_id not in delivered:
-                        continue
-                    reply = agents[agent_id].on_estimate(delivered[agent_id])
-                    if reply is not None:
-                        honest_replies.append(reply)
+                for agent_id in active:
+                    if model.profile(agent_id).is_down(t):
+                        continue  # the endpoint is inside its crash window
+                    # Every inbox is drained; what reaches an adversarial
+                    # agent is discarded (the adversary forges from the
+                    # broadcast and the honest replies).
+                    agent = agents.get(agent_id)
+                    for delivered in network.collect(agent_id, t):
+                        if agent is None:
+                            continue
+                        reply = agent.on_estimate(delivered)
+                        if reply is not None:
+                            honest_replies.append(reply)
+                # Canonical reply order: the adversary's view (and hence
+                # its forgeries) must not depend on delivery shuffling.
+                honest_replies.sort(key=lambda m: (m.round_index, m.sender))
                 forged: List[GradientMessage] = []
                 if adversary is not None:
-                    active_faulty = sorted(active & set(faulty_ids))
+                    active_faulty = [i for i in active if i in adversary_ids]
                     if active_faulty:
                         forged = adversary.forge_messages(
                             broadcast, honest_replies, active_faulty=active_faulty
                         )
-                inbound = network.gather(honest_replies + forged, SERVER_ID)
-                server.step(inbound)
+                for message in honest_replies + forged:
+                    network.submit(message, SERVER_ID, t)
+                server_step(network.collect(SERVER_ID, t))
                 estimates[t + 1] = server.estimate
                 directions[t] = server.last_direction
             if round_hook is not None:
                 round_hook(t, server)
+            if config.checkpoint_path and (
+                (t + 1) % config.checkpoint_every == 0 or t + 1 == iterations
+            ):
+                _write_checkpoint(
+                    config.checkpoint_path,
+                    fingerprint,
+                    t + 1,
+                    server,
+                    network,
+                    adversary,
+                    agents,
+                    estimates,
+                    directions,
+                )
     elapsed = time.perf_counter() - start
 
+    extra: Dict[str, object] = {}
+    if resilient:
+        extra.update(
+            resilience=server.resilience_summary(),
+            traffic=network.traffic_summary(),
+            resumed_from_round=start_round,
+        )
+    if config.record_messages:
+        extra["network_log"] = network.log
     return Trace(
         estimates=estimates,
         directions=directions,
@@ -409,11 +488,11 @@ def run_dgd(
         wall_time=elapsed,
         messages_delivered=network.messages_delivered,
         bytes_delivered=network.bytes_delivered,
-        filter_name=getattr(gradient_filter, "name", type(gradient_filter).__name__),
+        filter_name=filter_name,
         crash_ids=sorted(crash_rounds),
         messages_dropped=network.messages_dropped,
         bytes_dropped=network.bytes_dropped,
-        extra={"network_log": network.log} if config.record_messages else {},
+        extra=extra,
     )
 
 
@@ -520,152 +599,3 @@ def _load_checkpoint(path: str, fingerprint: Dict, iterations: int) -> Optional[
         )
         return None
     return payload
-
-
-def _run_partially_synchronous(
-    *,
-    config: DGDConfig,
-    tel,
-    agents: Dict[int, Agent],
-    adversary: Optional[Adversary],
-    faulty_ids: List[int],
-    crash_rounds: Dict[int, int],
-    honest_ids: List[int],
-    gradient_filter: GradientFilter,
-    step_sizes: StepSizeSchedule,
-    projection: ConvexSet,
-    x0: np.ndarray,
-    n: int,
-    f: int,
-    dimension: int,
-    round_hook: Optional[Callable[[int, DGDServer], None]],
-) -> Trace:
-    """The degraded-network execution loop (see :func:`run_dgd`).
-
-    Network fault draws are pure functions of the model seed, the server
-    is the self-healing :class:`ResilientDGDServer`, and — when a
-    checkpoint path is configured — the full run state (server, in-flight
-    queue, adversary RNG, crash flags, trajectory prefix) checkpoints
-    atomically and resumes bit-identically.
-    """
-    model = config.fault_model if config.fault_model is not None else NetworkFaultModel()
-    policy = (
-        config.resilience
-        if config.resilience is not None
-        else ResiliencePolicy.for_model(model)
-    )
-    filter_name = getattr(gradient_filter, "name", type(gradient_filter).__name__)
-    network = PartiallySynchronousNetwork(model, log_capacity=config.log_capacity)
-    server = ResilientDGDServer(
-        fixed_filter_factory(gradient_filter),
-        step_sizes,
-        projection,
-        x0,
-        n=n,
-        f=f,
-        telemetry=tel,
-        policy=policy,
-    )
-
-    iterations = config.iterations
-    estimates = np.empty((iterations + 1, dimension))
-    directions = np.empty((iterations, dimension))
-    estimates[0] = server.estimate
-
-    start_round = 0
-    fingerprint = _checkpoint_fingerprint(
-        config, n, f, dimension, faulty_ids, crash_rounds, filter_name
-    )
-    if config.checkpoint_path:
-        if config.checkpoint_every <= 0:
-            raise InvalidParameterError(
-                f"checkpoint_every must be positive, got {config.checkpoint_every}"
-            )
-        saved = _load_checkpoint(config.checkpoint_path, fingerprint, iterations)
-        if saved is not None:
-            server.restore(saved["server"])
-            network.restore_state(saved["network"])
-            if adversary is not None and saved["adversary_rng"] is not None:
-                adversary._rng.bit_generator.state = saved["adversary_rng"]
-            for agent_id, crashed in saved["agents"].items():
-                agent = agents.get(int(agent_id))
-                if isinstance(agent, CrashAgent):
-                    agent._crashed = bool(crashed)
-            start_round = int(saved["round"])
-            estimates[: start_round + 1] = _unhex_matrix(saved["estimates"])
-            if start_round:
-                directions[:start_round] = _unhex_matrix(saved["directions"])
-            if tel:
-                tel.emit("resume", round=start_round, path=config.checkpoint_path)
-
-    start = time.perf_counter()
-    with tel.span("run"):
-        for t in range(start_round, iterations):
-            with tel.span("round"):
-                broadcast = server.make_broadcast()
-                active = set(server.active_agents)
-                for agent_id in sorted(active):
-                    network.submit(broadcast, agent_id, t)
-                honest_replies: List[GradientMessage] = []
-                for agent_id in sorted(active & set(agents)):
-                    if model.profile(agent_id).is_down(t):
-                        continue  # the endpoint is inside its crash window
-                    for delivered in network.collect(agent_id, t):
-                        reply = agents[agent_id].on_estimate(delivered)
-                        if reply is not None:
-                            honest_replies.append(reply)
-                # Canonical reply order: the adversary's view (and hence
-                # its forgeries) must not depend on delivery shuffling.
-                honest_replies.sort(key=lambda m: (m.round_index, m.sender))
-                forged: List[GradientMessage] = []
-                if adversary is not None:
-                    active_faulty = sorted(active & set(faulty_ids))
-                    if active_faulty:
-                        forged = adversary.forge_messages(
-                            broadcast, honest_replies, active_faulty=active_faulty
-                        )
-                for message in honest_replies + forged:
-                    network.submit(message, SERVER_ID, t)
-                server.step_partial(network.collect(SERVER_ID, t))
-                estimates[t + 1] = server.estimate
-                directions[t] = server.last_direction
-            if round_hook is not None:
-                round_hook(t, server)
-            if config.checkpoint_path and (
-                (t + 1) % config.checkpoint_every == 0 or t + 1 == iterations
-            ):
-                _write_checkpoint(
-                    config.checkpoint_path,
-                    fingerprint,
-                    t + 1,
-                    server,
-                    network,
-                    adversary,
-                    agents,
-                    estimates,
-                    directions,
-                )
-    elapsed = time.perf_counter() - start
-
-    extra: Dict[str, object] = {
-        "resilience": server.resilience_summary(),
-        "traffic": network.traffic_summary(),
-        "resumed_from_round": start_round,
-    }
-    if config.record_messages:
-        extra["network_log"] = network.log
-    return Trace(
-        estimates=estimates,
-        directions=directions,
-        honest_ids=honest_ids,
-        faulty_ids=faulty_ids,
-        eliminated=server.eliminated_agents,
-        wall_time=elapsed,
-        messages_delivered=network.messages_delivered,
-        bytes_delivered=network.bytes_delivered,
-        filter_name=filter_name,
-        crash_ids=sorted(crash_rounds),
-        messages_dropped=network.messages_dropped,
-        bytes_dropped=network.bytes_dropped,
-        extra=extra,
-    )

@@ -65,10 +65,6 @@ class TestParallelMap:
 
 
 class TestSweepEngine:
-    def test_rejects_bad_backend(self):
-        with pytest.raises(InvalidParameterError, match="backend"):
-            SweepEngine(backend="gpu")
-
     def test_rejects_bad_worker_count(self):
         with pytest.raises(InvalidParameterError, match="max_workers"):
             SweepEngine(max_workers=0)
@@ -163,14 +159,26 @@ class TestSweepEngine:
             assert np.array_equal(a.estimates, b.estimates)
 
     def test_backend_parity(self):
+        # Grid cells are bit-identical to the per-seed run_dgd oracle.
+        from repro.attacks.registry import make_attack
+        from repro.problems.linear_regression import make_redundant_regression
+        from repro.system.runner import run_dgd
+
         grid = RegressionGrid(filters=("cge",), attacks=("random",), num_seeds=2,
                               iterations=25)
-        batch = SweepEngine(parallel=False, backend="batch").run_regression_grid(grid)
-        sequential = SweepEngine(
-            parallel=False, backend="sequential"
-        ).run_regression_grid(grid)
-        for a, b in zip(batch, sequential):
-            assert np.array_equal(a.estimates, b.estimates)
+        cells = SweepEngine(parallel=False).run_regression_grid(grid)
+        instance = make_redundant_regression(
+            n=grid.n, d=grid.d, f=grid.resolved_redundancy_f(),
+            noise_std=grid.noise_std, seed=grid.instance_seed,
+        )
+        assert [cell.seed for cell in cells] == grid.seeds()
+        for cell in cells:
+            oracle = run_dgd(
+                instance.costs, make_attack(cell.attack_name),
+                gradient_filter=cell.filter_name, faulty_ids=tuple(range(cell.f)),
+                f=cell.f, iterations=grid.iterations, seed=cell.seed,
+            )
+            assert np.array_equal(cell.estimates, oracle.estimates)
 
     def test_summarize_grid(self):
         cells = SweepEngine(parallel=False).run_regression_grid(
@@ -306,15 +314,9 @@ class TestExperimentWiring:
         assert (
             run_robustness_matrix(**kwargs).rows
             == run_robustness_matrix(
-                **kwargs, parallel=True, backend="batch", max_workers=2
+                **kwargs, parallel=True, max_workers=2
             ).rows
         )
-
-    def test_backend_validated(self):
-        with pytest.raises(InvalidParameterError, match="backend"):
-            run_robustness_matrix(
-                filters=("cge",), attacks=("zero",), iterations=5, backend="magic"
-            )
 
     def test_multiseed_parallel_matches(self):
         sequential = summarize_over_seeds(_tiny_fault_sweep, [1, 2])

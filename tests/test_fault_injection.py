@@ -456,10 +456,10 @@ class TestEngineMapChaos:
     def test_pool_unavailable_degrades_inprocess(self, monkeypatch):
         from repro.experiments import sweep as sweep_module
 
-        def refuse(self, workers):
+        def refuse(workers):
             raise sweep_module._PoolUnavailable("no pool for you")
 
-        monkeypatch.setattr(SweepEngine, "_new_pool", refuse)
+        monkeypatch.setattr(sweep_module, "_new_pool", refuse)
         engine = self._engine(parallel=True, max_workers=2)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

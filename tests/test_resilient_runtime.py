@@ -458,3 +458,44 @@ class TestTraceAccounting:
         )
         assert trace.messages_dropped == 0
         assert trace.bytes_dropped == 0
+
+    def test_null_model_drains_every_inbox(self, instance, monkeypatch):
+        # Broadcasts to adversarial agents are collected (and discarded)
+        # like everyone else's, so nothing stays queued between rounds and
+        # the traffic totals match the batch engine's closed form 2nT.
+        import repro.system.runner as runner_module
+        from repro.system.batch import run_dgd_batch
+        from repro.system.netfaults import PartiallySynchronousNetwork
+
+        networks = []
+
+        class Recording(PartiallySynchronousNetwork):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                networks.append(self)
+
+        pending = []
+        monkeypatch.setattr(runner_module, "PartiallySynchronousNetwork", Recording)
+        iterations = 40
+        trace = run_dgd(
+            instance.costs,
+            make_attack("gradient-reverse"),
+            gradient_filter="cge",
+            faulty_ids=FAULTY,
+            iterations=iterations,
+            seed=5,
+            fault_model=NetworkFaultModel(),
+            round_hook=lambda t, server: pending.append(networks[0].pending_count),
+        )
+        (batched,) = run_dgd_batch(
+            instance.costs,
+            make_attack("gradient-reverse"),
+            gradient_filter="cge",
+            faulty_ids=FAULTY,
+            iterations=iterations,
+            seeds=[5],
+        )
+        assert pending == [0] * iterations
+        assert trace.messages_delivered == 2 * N * iterations
+        assert trace.bytes_delivered == batched.bytes_delivered
+        assert np.array_equal(trace.estimates, batched.estimates)

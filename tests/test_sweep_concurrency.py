@@ -14,7 +14,12 @@ machinery, so these properties carry the whole design:
 """
 
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
+import time
 
 import numpy as np
 
@@ -134,6 +139,50 @@ class TestSharedPool:
         # The failure ladder degrades to in-process execution rather than
         # failing the map outright.
         assert engine.map(_square, [1, 2, 3]) == [1, 4, 9]
+
+    def test_workers_exit_when_owner_is_killed(self):
+        # An idle worker blocks on a call queue whose write end it holds
+        # itself, so only the parent watch can end it once its owner is
+        # SIGKILLed.
+        script = (
+            "import os, sys, time\n"
+            "from repro.experiments.sweep import SharedProcessPool\n"
+            "pool = SharedProcessPool(max_workers=1)\n"
+            "pool.acquire()\n"
+            "print(pool.get(1).submit(os.getpid).result(timeout=60), flush=True)\n"
+            "time.sleep(600)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), "..", "src")]
+            + env.get("PYTHONPATH", "").split(os.pathsep))
+        owner = subprocess.Popen([sys.executable, "-c", script], env=env,
+                                 stdout=subprocess.PIPE)
+        worker = None
+        try:
+            worker = int(owner.stdout.readline())
+            assert _running(worker)
+            os.kill(owner.pid, signal.SIGKILL)
+            owner.wait(timeout=30)
+            deadline = time.monotonic() + 5.0
+            while _running(worker) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not _running(worker), "pool worker outlived its owner"
+        finally:
+            if owner.poll() is None:
+                owner.kill()
+                owner.wait()
+            if worker is not None and _running(worker):
+                os.kill(worker, signal.SIGKILL)
+
+
+def _running(pid):
+    """Whether ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except (OSError, IndexError):
+        return False
 
 
 class TestJSONLSinkConcurrency:

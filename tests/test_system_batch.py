@@ -182,6 +182,21 @@ class TestFallbacks:
             assert np.array_equal(a.estimates, b.estimates)
         assert "batch" not in batched[0].extra
 
+    def test_network_fault_model_falls_back(self, instance):
+        # The fast path has no network; a lossy fault model must reach the
+        # message-passing simulator instead of being ignored.
+        from repro.system.netfaults import FaultProfile, NetworkFaultModel
+
+        model = NetworkFaultModel.uniform([1, 2], FaultProfile(drop_prob=0.3), seed=4)
+        config = DGDConfig(iterations=15, gradient_filter="cge", f=1, fault_model=model)
+        assert "network faults" in batch_unsupported_reason(
+            instance.costs, None, config, make_filter("cge", f=1)
+        )
+        (batched,) = run_dgd_batch(instance.costs, None, config, seeds=[5])
+        sequential = run_dgd(instance.costs, None, config, seed=5)
+        assert sequential.messages_dropped > 0
+        assert_traces_identical(sequential, batched)
+
     def test_crash_configuration_falls_back(self, instance):
         config = DGDConfig(
             iterations=15, gradient_filter="cge", f=1, crash_rounds={3: 5}

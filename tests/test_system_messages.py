@@ -1,11 +1,15 @@
-"""Tests for protocol messages and the synchronous network."""
+"""Tests for protocol messages and the network (null fault model = synchronous)."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import InvalidParameterError, ProtocolViolationError
 from repro.system.messages import SERVER_ID, EstimateBroadcast, GradientMessage
-from repro.system.network import SynchronousNetwork
+from repro.system.netfaults import (
+    FaultProfile,
+    NetworkFaultModel,
+    PartiallySynchronousNetwork,
+)
 
 
 class TestMessages:
@@ -73,8 +77,9 @@ class TestNetwork:
         return GradientMessage(sender=sender, round_index=round_index, gradient=[1.0])
 
     def test_delivery_and_accounting(self):
-        net = SynchronousNetwork()
-        delivered = net.deliver(self._msg(), receiver=SERVER_ID)
+        net = PartiallySynchronousNetwork()
+        net.submit(self._msg(), SERVER_ID, 0)
+        (delivered,) = net.collect(SERVER_ID, 0)
         assert delivered is not None
         assert net.messages_delivered == 1
         assert net.bytes_delivered > 0
@@ -82,46 +87,63 @@ class TestNetwork:
         assert not net.log[0].dropped
 
     def test_broadcast_reaches_all(self):
-        net = SynchronousNetwork()
+        net = PartiallySynchronousNetwork()
         msg = EstimateBroadcast(sender=SERVER_ID, round_index=0, estimate=[0.0])
-        delivered = net.broadcast(msg, receivers=[0, 1, 2])
-        assert set(delivered) == {0, 1, 2}
+        for receiver in (0, 1, 2):
+            net.submit(msg, receiver, 0)
+        delivered = {r: net.collect(r, 0) for r in (0, 1, 2)}
+        assert all(copies == [msg] for copies in delivered.values())
         assert net.messages_delivered == 3
 
     def test_gather(self):
-        net = SynchronousNetwork()
-        received = net.gather([self._msg(0), self._msg(1)], receiver=SERVER_ID)
+        net = PartiallySynchronousNetwork()
+        for message in (self._msg(0), self._msg(1)):
+            net.submit(message, SERVER_ID, 0)
+        received = net.collect(SERVER_ID, 0)
         assert len(received) == 2
 
+    def test_collect_drains_only_the_receivers_inbox(self):
+        net = PartiallySynchronousNetwork()
+        msg = EstimateBroadcast(sender=SERVER_ID, round_index=0, estimate=[0.0])
+        net.submit(msg, 0, 0)
+        net.submit(msg, 1, 0)
+        assert net.collect(0, 0) == [msg]
+        assert net.pending_count == 1
+        assert net.collect(0, 0) == []
+        assert net.collect(1, 0) == [msg]
+        assert net.pending_count == 0
+
     def test_drops_are_per_sender_and_logged(self):
-        rng = np.random.default_rng(0)
-        net = SynchronousNetwork(drop_probabilities={7: 1.0}, rng=rng)
-        assert net.deliver(self._msg(sender=7), SERVER_ID) is None
-        assert net.deliver(self._msg(sender=1), SERVER_ID) is not None
+        net = PartiallySynchronousNetwork(
+            NetworkFaultModel(profiles={7: FaultProfile(drop_prob=1.0)})
+        )
+        net.submit(self._msg(sender=7), SERVER_ID, 0)
+        net.submit(self._msg(sender=1), SERVER_ID, 0)
+        assert [m.sender for m in net.collect(SERVER_ID, 0)] == [1]
         assert net.messages_dropped == 1
         assert any(record.dropped for record in net.log)
 
-    def test_drop_probability_requires_rng(self):
-        net = SynchronousNetwork(drop_probabilities={0: 0.5})
-        with pytest.raises(InvalidParameterError):
-            net.deliver(self._msg(), SERVER_ID)
-
     def test_log_capacity_bounds_memory(self):
-        net = SynchronousNetwork(log_capacity=5)
-        for _ in range(10):
-            net.deliver(self._msg(), SERVER_ID)
+        net = PartiallySynchronousNetwork(log_capacity=5)
+        for round_index in range(10):
+            net.submit(self._msg(), SERVER_ID, round_index)
+            net.collect(SERVER_ID, round_index)
         assert len(net.log) == 5
         assert net.messages_delivered == 10
 
     def test_invalid_probability_rejected(self):
         with pytest.raises(InvalidParameterError):
-            SynchronousNetwork(drop_probabilities={0: 1.5})
+            PartiallySynchronousNetwork(
+                NetworkFaultModel(profiles={0: FaultProfile(drop_prob=1.5)})
+            )
 
     def test_dropped_bytes_are_accounted(self):
-        rng = np.random.default_rng(0)
-        net = SynchronousNetwork(drop_probabilities={7: 1.0}, rng=rng)
+        net = PartiallySynchronousNetwork(
+            NetworkFaultModel(profiles={7: FaultProfile(drop_prob=1.0)})
+        )
         msg = self._msg(sender=7)
-        net.deliver(msg, SERVER_ID)
+        net.submit(msg, SERVER_ID, 0)
+        assert net.collect(SERVER_ID, 0) == []
         assert net.bytes_dropped == msg.size_bytes()
         assert net.bytes_delivered == 0
         summary = net.traffic_summary()

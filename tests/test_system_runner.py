@@ -217,16 +217,18 @@ class TestNetworkLogCapacity:
 
     def test_network_eviction_counters(self):
         from repro.system.messages import GradientMessage
-        from repro.system.network import SynchronousNetwork
+        from repro.system.netfaults import PartiallySynchronousNetwork
 
-        network = SynchronousNetwork(log_capacity=3)
+        network = PartiallySynchronousNetwork(log_capacity=3)
         assert network.log_capacity == 3
         for round_index in range(5):
-            network.deliver(
+            network.submit(
                 GradientMessage(sender=0, round_index=round_index,
                                 gradient=np.zeros(2)),
-                receiver=-1,
+                -1,
+                round_index,
             )
+            network.collect(-1, round_index)
         assert network.records_evicted == 2
         import warnings
 
@@ -238,7 +240,7 @@ class TestNetworkLogCapacity:
         assert sum("overflowed" in str(w.message) for w in caught) == 1
 
     def test_invalid_log_capacity_rejected(self):
-        from repro.system.network import SynchronousNetwork
+        from repro.system.netfaults import PartiallySynchronousNetwork
 
         with pytest.raises(InvalidParameterError):
-            SynchronousNetwork(log_capacity=0)
+            PartiallySynchronousNetwork(log_capacity=0)
